@@ -75,6 +75,14 @@ type ChaosResult struct {
 	SLOIncidents     int  `json:"slo_incidents"`
 	SLOTraceCount    int  `json:"slo_trace_count"`
 	SLOTraceStagesOK bool `json:"slo_trace_stages_ok"`
+	// SLOFirstS is crash → first SLO violation (negative: none after the
+	// crash); SLOBeforeCrash counts violations raised before it. The
+	// crash, not the load, must raise the violation: none before it, and
+	// the first while the fault is still being repaired (before the
+	// post-recovery throughput window opens).
+	SLOFirstS      float64 `json:"slo_first_s"`
+	SLOBeforeCrash int     `json:"slo_before_crash"`
+	SLOWindowS     float64 `json:"slo_window_s"`
 	// Deterministic reports whether a second same-seed run reproduced
 	// EventSeq, FaultLog, and the incident bundles exactly.
 	Deterministic bool `json:"deterministic"`
@@ -215,9 +223,18 @@ func chaosRun(seed uint64, total sim.Duration) (*ChaosResult, error) {
 	crashTime := t0.Add(crashAt)
 	res.CrashAtS = crashAt.Seconds()
 	probe := chaosDetector().ProbeAfter
+	postLo := t0.Add(sim.Duration(float64(total) * 0.75))
+	res.SLOFirstS, res.SLOWindowS = -1, postLo.Sub(crashTime).Seconds()
 
 	var detectTime sim.Time
 	tb.Master.Observe(func(e soda.Event) {
+		if e.Kind == soda.EventSLOViolation {
+			if e.At.Before(crashTime) {
+				res.SLOBeforeCrash++
+			} else if res.SLOFirstS < 0 {
+				res.SLOFirstS = e.At.Sub(crashTime).Seconds()
+			}
+		}
 		switch e.Kind {
 		case soda.EventNodeFailed, soda.EventNodeRecovered, soda.EventHostSuspected,
 			soda.EventHostDead, soda.EventHostAlive, soda.EventRecoveryFailed:
@@ -231,7 +248,7 @@ func chaosRun(seed uint64, total sim.Duration) (*ChaosResult, error) {
 	// Throughput windows: pre-fault [0.1·D, crash), post-recovery
 	// [0.75·D, D). Completions are counted where they finish.
 	preLo, preHi := t0.Add(total/10), crashTime
-	postLo, postHi := t0.Add(sim.Duration(float64(total)*0.75)), t0.Add(total)
+	postHi := t0.Add(total)
 	var preCount, postCount int
 	svc.Switch.OnTrace(func(tr svcswitch.Trace) {
 		if tr.Dropped {
@@ -254,10 +271,13 @@ func chaosRun(seed uint64, total sim.Duration) (*ChaosResult, error) {
 
 	gen := workload.NewGenerator(tb.K, hup.SwitchTarget{Switch: svc.Switch}, tb.AddClient(), tb.RNG.Split())
 	gen.Timeout = sim.Second
-	// 32 closed-loop clients saturate the two-backend pool enough that
+	// 40 closed-loop clients saturate the two-backend pool enough that
 	// losing one pushes the tail past the 10ms/p99 SLO — light load hides
 	// a crash entirely (the switch ejects and reroutes within a tick).
-	gen.RunClosedLoop(32, 20*sim.Millisecond)
+	// With 32 the burst sits at the 2x burn threshold, where whether it
+	// trips the SLO depends on the seed. The shape check also wants no
+	// violation before the crash, so the load alone cannot pass it.
+	gen.RunClosedLoop(40, 20*sim.Millisecond)
 	tb.K.RunUntil(t0.Add(total))
 	gen.Stop()
 	tb.K.RunUntil(t0.Add(total + 2*sim.Second)) // drain in-flight requests
@@ -363,6 +383,10 @@ func (r *ChaosResult) Shape() error {
 	if r.SLOIncidents < 1 {
 		misses = append(misses, "crash latency burst raised no SLO-violation incident")
 	}
+	if !r.sloFromCrash() {
+		misses = append(misses, fmt.Sprintf("SLO violations not caused by the crash: %d before it, first %.2fs after it (want 0 before, first within %.2fs)",
+			r.SLOBeforeCrash, r.SLOFirstS, r.SLOWindowS))
+	}
 	if r.SLOTraceCount < 1 {
 		misses = append(misses, "slo-violation bundle embeds no retained slow request trace")
 	}
@@ -376,6 +400,12 @@ func (r *ChaosResult) Shape() error {
 		return fmt.Errorf("chaos: %s", strings.Join(misses, "; "))
 	}
 	return nil
+}
+
+// sloFromCrash reports whether the crash, not the load, raised the SLO
+// violations: none before it, and the first inside the repair window.
+func (r *ChaosResult) sloFromCrash() bool {
+	return r.SLOBeforeCrash == 0 && r.SLOFirstS >= 0 && r.SLOFirstS < r.SLOWindowS
 }
 
 // Render implements Result.
@@ -410,6 +440,9 @@ func (r *ChaosResult) Render() string {
 	fmt.Fprintf(&b, "  slo-violation: %d bundle(s) embedding %d retained slow trace(s)\n",
 		r.SLOIncidents, r.SLOTraceCount)
 	b.WriteString(shapeCheck("crash latency burst raised an SLO-violation incident", r.SLOIncidents >= 1) + "\n")
+	fmt.Fprintf(&b, "  slo-violation events: %d before the crash, first %.2fs after it\n",
+		r.SLOBeforeCrash, r.SLOFirstS)
+	b.WriteString(shapeCheck("no SLO violation before the crash; the first before recovery settles", r.sloFromCrash()) + "\n")
 	b.WriteString(shapeCheck("slo-violation bundle embeds retained slow traces with per-stage attribution",
 		r.SLOTraceCount >= 1 && r.SLOTraceStagesOK) + "\n")
 	b.WriteString(shapeCheck("same seed reproduces the identical fault schedule, events, and incident bundles", r.Deterministic) + "\n")

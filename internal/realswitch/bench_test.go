@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/simnet"
@@ -73,11 +72,9 @@ func BenchmarkProxyParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkPickParallel isolates the routing data plane — route-table
-// load, policy pick, and stat updates, no network — under 16 goroutines.
-// This is where the RCU/atomic rewrite shows directly, independent of
-// the HTTP round-trip cost that dominates the end-to-end benchmarks.
-func BenchmarkPickParallel(b *testing.B) {
+// pickFixture builds a proxy over four unreachable backends with mixed
+// capacities: enough to route through the pick path, which never dials.
+func pickFixture() *Proxy {
 	cfg := svcswitch.NewConfigFile("bench")
 	var entries []svcswitch.BackendEntry
 	for i := 0; i < 4; i++ {
@@ -86,82 +83,44 @@ func BenchmarkPickParallel(b *testing.B) {
 		})
 	}
 	if err := cfg.SetEntries(entries); err != nil {
-		b.Fatal(err)
+		panic(err)
 	}
-	p := New(cfg)
-	b.SetParallelism(16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			t := p.loadTable()
-			idx := p.pick(t, 0, 0)
-			if idx < 0 {
-				b.Error("no pick")
-				return
-			}
-			cell := t.cells[idx]
-			cell.active.Add(1)
-			cell.forwarded.Add(1)
-			p.routed.Inc()
-			cell.active.Add(-1)
-		}
-	})
+	return New(cfg)
 }
 
-// BenchmarkPickParallelMutex is the pre-PR reference plane: the same
-// pick under one sync.Mutex with per-request entry copies, stats slices,
-// and map lookups — what the proxy did before the route-table rewrite.
-// The ratio to BenchmarkPickParallel is the data-plane speedup.
-func BenchmarkPickParallelMutex(b *testing.B) {
-	cfg := svcswitch.NewConfigFile("bench")
-	var entries []svcswitch.BackendEntry
-	for i := 0; i < 4; i++ {
-		entries = append(entries, svcswitch.BackendEntry{
-			IP: simnet.IP("10.0.0." + strconv.Itoa(i)), Port: 8080, Capacity: 1 + i%2,
-		})
+// pickAndAccount is the proxy's per-attempt routing work without the
+// network: route-table load, pick, and the stat and counter updates of a
+// served request.
+func pickAndAccount(p *Proxy, now int64) bool {
+	rt := p.r.Route("")
+	var tried svcswitch.Tried
+	idx := p.r.Pick(rt, &tried, now)
+	if idx < 0 {
+		return false
 	}
-	if err := cfg.SetEntries(entries); err != nil {
-		b.Fatal(err)
-	}
-	var (
-		mu     sync.Mutex
-		policy = svcswitch.NewWeightedRoundRobin()
-		stats  = make(map[string]*svcswitch.Stats)
-		routed int64
-	)
+	p.r.Begin(rt, idx)
+	p.r.Done(rt, idx)
+	p.r.Forwarded(rt, idx)
+	return true
+}
+
+// BenchmarkPickParallel isolates the routing data plane — route-table
+// load, policy pick, and stat updates, no network — under 16 goroutines.
+// This is where the RCU/atomic design shows directly, independent of
+// the HTTP round-trip cost that dominates the end-to-end benchmarks.
+func BenchmarkPickParallel(b *testing.B) {
+	p := pickFixture()
 	b.SetParallelism(16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			mu.Lock()
-			es := cfg.Entries()
-			sl := make([]svcswitch.Stats, len(es))
-			for i, e := range es {
-				if st := stats[e.Addr()]; st != nil {
-					sl[i] = *st
-				}
-			}
-			idx, err := policy.Pick(es, sl)
-			if err != nil || idx < 0 {
-				mu.Unlock()
+			if !pickAndAccount(p, 0) {
 				b.Error("no pick")
 				return
 			}
-			st := stats[es[idx].Addr()]
-			if st == nil {
-				st = &svcswitch.Stats{}
-				stats[es[idx].Addr()] = st
-			}
-			st.Active++
-			st.Forwarded++
-			routed++
-			st.Active--
-			mu.Unlock()
 		}
 	})
-	_ = routed
 }
 
 // BenchmarkProxySerial is the uncontended single-client floor, for

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/svcswitch"
 )
 
 // Retry-cap, non-idempotent, and passive-health tests over real TCP.
@@ -103,7 +105,7 @@ func TestPostRetriesWhenPolicyOptsIn(t *testing.T) {
 
 func TestHealthEjectsDeadBackendAndReadmits(t *testing.T) {
 	p, front, backends, servers := liveFixture(t)
-	p.SetHealth(HealthConfig{EjectAfter: 2, ProbeAfter: 50 * time.Millisecond})
+	p.SetHealth(svcswitch.HealthConfig{EjectAfter: 2, ProbeAfter: 50 * time.Millisecond})
 	deadAddr := strings.TrimPrefix(servers[0].URL, "http://")
 	servers[0].Close()
 

@@ -27,7 +27,8 @@ type Trace struct {
 	ID uint64
 	// Backend is the chosen node's address; empty when dropped.
 	Backend string
-	// Retries counts backends tried before one accepted.
+	// Retries counts picks after the first: backends abandoned (dead,
+	// unbound, or failed mid-flight) for another.
 	Retries int
 	// Dropped marks requests that never reached a live backend.
 	Dropped bool
@@ -103,97 +104,17 @@ type Request struct {
 	OnDone func()
 }
 
-// routeView is one component's slice of the cached route table: parallel
-// arrays of everything the forwarding hot path needs, precomputed so a
-// routed request touches no maps, formats no addresses, and allocates
-// nothing. Views handed out by the cache are shared and immutable; the
-// retry path copies before shrinking the candidate set.
-type routeView struct {
-	entries  []BackendEntry
-	addrs    []string
-	handlers []Handler
-	stats    []*Stats
-	hists    []*telemetry.Histogram
-	health   []*backendHealth
-}
-
-// remove deletes candidate i in place (owned views only).
-func (v *routeView) remove(i int) {
-	n := len(v.entries) - 1
-	copy(v.entries[i:], v.entries[i+1:])
-	copy(v.addrs[i:], v.addrs[i+1:])
-	copy(v.handlers[i:], v.handlers[i+1:])
-	copy(v.stats[i:], v.stats[i+1:])
-	copy(v.hists[i:], v.hists[i+1:])
-	copy(v.health[i:], v.health[i+1:])
-	v.entries, v.addrs = v.entries[:n], v.addrs[:n]
-	v.handlers, v.stats, v.hists = v.handlers[:n], v.stats[:n], v.hists[:n]
-	v.health = v.health[:n]
-}
-
-// clone deep-copies the view so it can be mutated.
-func (v routeView) clone() routeView {
-	return routeView{
-		entries:  append([]BackendEntry(nil), v.entries...),
-		addrs:    append([]string(nil), v.addrs...),
-		handlers: append([]Handler(nil), v.handlers...),
-		stats:    append([]*Stats(nil), v.stats...),
-		hists:    append([]*telemetry.Histogram(nil), v.hists...),
-		health:   append([]*backendHealth(nil), v.health...),
-	}
-}
-
-// HealthConfig tunes the switch's passive backend health tracking.
-// The zero value disables it, keeping the data plane byte-identical to
-// the health-unaware switch.
-type HealthConfig struct {
-	// EjectAfter is the consecutive-failure count that ejects a backend
-	// from the rotation; 0 disables health tracking.
-	EjectAfter int
-	// ProbeAfter is how long an ejected backend sits out before one
-	// half-open probe request is allowed through.
-	ProbeAfter sim.Duration
-}
-
-// backendHealth is one backend's passive health record. It lives in the
-// switch's persistent health map (keyed by address), so rebuilding the
-// route cache never forgets failure counts.
-type backendHealth struct {
-	addr     string   // backend address, for ejection diagnostics
-	fails    int      // consecutive failures while in rotation
-	ejected  bool     // out of the rotation
-	probing  bool     // a half-open probe is in flight
-	reopenAt sim.Time // when the next probe may be admitted
-}
-
-// usable reports whether the backend may receive a request at now:
-// either it is in rotation, or it is ejected but due a half-open probe
-// and no probe is already in flight.
-func (h *backendHealth) usable(now sim.Time) bool {
-	return !h.ejected || (!h.probing && now >= h.reopenAt)
-}
-
 // inflight is the per-request state machine. Requests draw these from a
 // free list on the switch; the four stage callbacks are bound once per
-// struct lifetime, so the no-retry routing path performs zero heap
+// struct lifetime, so routing, retries included, performs zero heap
 // allocations per request.
 type inflight struct {
-	s    *Switch
-	req  Request
-	tr   Trace
-	view routeView // current candidate set
-	// owned marks the view as a private copy (retry path) that may be
-	// mutated; unowned views alias the shared route cache.
-	owned bool
-
-	// Chosen backend, set at pick time.
-	pick int
-	st   *Stats
-	hist *telemetry.Histogram
-	hp   *backendHealth
-	addr string
-
-	statScratch []Stats // policy input buffer, reused
+	s     *Switch
+	req   Request
+	tr    Trace
+	rt    *Route[Handler] // the component's route, fixed for the request
+	tried Tried
+	pick  int // chosen backend, an index into rt
 
 	// rec is the reqtrace scratch record, rebuilt from tr at completion
 	// so the Offer argument lives in the pooled op and never escapes.
@@ -203,17 +124,6 @@ type inflight struct {
 	onExec    func() // switch CPU burst done, pick next
 	onDeliver func() // switch→backend hop delivered
 	onServe   func() // backend finished serving
-}
-
-// dropCandidate removes candidate i from the view, copying it first if
-// it still aliases the shared cache. Only the retry path lands here, so
-// the copy's allocation never taxes healthy traffic.
-func (op *inflight) dropCandidate(i int) {
-	if !op.owned {
-		op.view = op.view.clone()
-		op.owned = true
-	}
-	op.view.remove(i)
 }
 
 // Switch accepts client requests and directs each to a backend virtual
@@ -229,17 +139,12 @@ type Switch struct {
 
 	node     Node
 	net      *simnet.Network
-	policy   Policy
 	handlers map[string]Handler
-	stats    map[string]*Stats
-	cfgSeen  int
 	onTrace  func(Trace)
 
-	// Passive backend health (consecutive-error ejection + half-open
-	// re-admission). Disabled until SetHealth; records persist across
-	// route-cache rebuilds.
-	healthCfg HealthConfig
-	health    map[string]*backendHealth
+	// r is the routing core shared with realswitch: route table, policy,
+	// passive health, retry walk, and counters.
+	r *Router[Handler]
 
 	// reqSeq numbers requests; Trace.ID and histogram exemplars use it
 	// until SetRequestTracer switches the switch onto the collector's
@@ -250,32 +155,7 @@ type Switch struct {
 	// SetRequestTracer.
 	rtc *reqtrace.Collector
 
-	// flog logs control-plane transitions only (ejection, re-admission)
-	// — never per-request — so the routing hot path is untouched. Nil
-	// (no-op) until SetLogger.
-	flog *flight.Logger
-
-	// Route cache: per-component views rebuilt only when the config
-	// version or the bind set changes, so the hot path reads parallel
-	// slices instead of filtering entries and formatting map keys.
-	routes       map[string]*routeView
-	cacheVersion int
-	cacheBinds   int
-	bindSeq      int
-
 	opFree []*inflight
-
-	// Telemetry instruments. The counters always work (they back the
-	// Routed/Dropped/Retried accessors); the histograms are live only
-	// after Instrument connects the switch to a registry.
-	reg        *telemetry.Registry
-	routed     *telemetry.Counter
-	dropped    *telemetry.Counter
-	retried    *telemetry.Counter
-	ejectedC   *telemetry.Counter
-	readmitted *telemetry.Counter
-	latency    *telemetry.Histogram
-	backendLat map[string]*telemetry.Histogram
 }
 
 // requestHandlingSyscalls is the switch's per-request work: accept, read,
@@ -291,12 +171,9 @@ func New(net *simnet.Network, node Node, config *ConfigFile) *Switch {
 		Config:   config,
 		node:     node,
 		net:      net,
-		policy:   NewWeightedRoundRobin(),
 		handlers: make(map[string]Handler),
-		stats:    make(map[string]*Stats),
-		cfgSeen:  config.Version(),
 	}
-	s.Instrument(nil)
+	s.r = NewRouter(config, true, func(addr string) Handler { return s.handlers[addr] })
 	return s
 }
 
@@ -304,27 +181,7 @@ func New(net *simnet.Network, node Node, config *ConfigFile) *Switch {
 // registry, labeled by service name. A nil registry (the default) keeps
 // the counters working — they back Routed/Dropped/Retried — but disables
 // histogram collection, so the routing hot path stays cheap.
-func (s *Switch) Instrument(reg *telemetry.Registry) {
-	svc := telemetry.L("service", s.Config.ServiceName)
-	routed := reg.Counter("soda_switch_routed_total", svc)
-	dropped := reg.Counter("soda_switch_dropped_total", svc)
-	retried := reg.Counter("soda_switch_retries_total", svc)
-	ejected := reg.Counter("soda_switch_ejected_total", svc)
-	readmitted := reg.Counter("soda_switch_readmitted_total", svc)
-	// Carry forward counts accumulated before instrumentation, so the
-	// accessors never regress.
-	routed.Add(s.routed.Value())
-	dropped.Add(s.dropped.Value())
-	retried.Add(s.retried.Value())
-	ejected.Add(s.ejectedC.Value())
-	readmitted.Add(s.readmitted.Value())
-	s.reg = reg
-	s.routed, s.dropped, s.retried = routed, dropped, retried
-	s.ejectedC, s.readmitted = ejected, readmitted
-	s.latency = reg.Histogram("soda_switch_latency_seconds", nil, svc)
-	s.backendLat = make(map[string]*telemetry.Histogram)
-	s.bindSeq++ // cached views hold stale histograms
-}
+func (s *Switch) Instrument(reg *telemetry.Registry) { s.r.Instrument(reg) }
 
 // SetRequestTracer attaches a tail-sampling request collector. While
 // attached, trace IDs come from the collector's store-wide sequence —
@@ -341,87 +198,52 @@ func (s *Switch) RequestTracer() *reqtrace.Collector { return s.rtc }
 // half-open re-admission) into the flight recorder. Per-request traffic
 // is never logged — the hot path stays allocation-free. Nil restores the
 // no-op default.
-func (s *Switch) SetLogger(l *flight.Logger) { s.flog = l }
+func (s *Switch) SetLogger(l *flight.Logger) { s.r.SetLogger(l) }
 
 // Routed returns how many requests were forwarded to a backend.
-func (s *Switch) Routed() int { return int(s.routed.Value()) }
+func (s *Switch) Routed() int { return int(s.r.Routed.Value()) }
 
 // Dropped returns how many requests could not be served (no live
 // backend, ill-behaved policy, dead switch node).
-func (s *Switch) Dropped() int { return int(s.dropped.Value()) }
+func (s *Switch) Dropped() int { return int(s.r.Dropped.Value()) }
 
-// Retried returns how many backend picks were abandoned for another
+// Retried returns how many backend picks followed an abandoned one
 // (dead, unbound, or mid-flight-failed backends).
-func (s *Switch) Retried() int { return int(s.retried.Value()) }
+func (s *Switch) Retried() int { return int(s.r.Retried.Value()) }
 
 // LatencyHistogram returns the end-to-end latency histogram, nil when
 // the switch is uninstrumented. The SLO evaluator diffs its snapshots
 // into per-window distributions.
-func (s *Switch) LatencyHistogram() *telemetry.Histogram { return s.latency }
-
-// backendHist returns the per-backend latency histogram, or nil when the
-// switch is uninstrumented.
-func (s *Switch) backendHist(addr string) *telemetry.Histogram {
-	if s.reg == nil {
-		return nil
-	}
-	h, ok := s.backendLat[addr]
-	if !ok {
-		h = s.reg.Histogram("soda_switch_backend_latency_seconds",
-			nil, telemetry.L("service", s.Config.ServiceName), telemetry.L("backend", addr))
-		s.backendLat[addr] = h
-	}
-	return h
-}
+func (s *Switch) LatencyHistogram() *telemetry.Histogram { return s.r.LatencyHistogram() }
 
 // IP returns the address clients send requests to.
 func (s *Switch) IP() simnet.IP { return s.node.IP() }
 
 // Policy returns the active switching policy.
-func (s *Switch) Policy() Policy { return s.policy }
+func (s *Switch) Policy() Policy { return s.r.Policy() }
 
 // SetPolicy installs a service-specific policy (the ASP's replacement
 // hook, §3.4).
-func (s *Switch) SetPolicy(p Policy) {
-	if p == nil {
-		panic("svcswitch: nil policy")
-	}
-	s.policy = p
-	p.Reset()
-}
+func (s *Switch) SetPolicy(p Policy) { s.r.SetPolicy(p) }
 
 // SetHealth configures passive backend health tracking. A zero
 // EjectAfter disables it and clears all records. Enabling is an RCU-style
-// config change: the route cache rebuilds on the next request.
-func (s *Switch) SetHealth(cfg HealthConfig) {
-	if cfg.EjectAfter < 0 || cfg.ProbeAfter < 0 {
-		panic("svcswitch: negative health threshold")
-	}
-	s.healthCfg = cfg
-	if cfg.EjectAfter == 0 {
-		s.health = nil
-	} else if s.health == nil {
-		s.health = make(map[string]*backendHealth)
-	}
-	s.bindSeq++ // cached views hold stale health refs
-}
+// config change: the route table rebuilds on the next request.
+func (s *Switch) SetHealth(cfg HealthConfig) { s.r.SetHealth(cfg) }
 
 // Health returns the active health configuration.
-func (s *Switch) Health() HealthConfig { return s.healthCfg }
+func (s *Switch) Health() HealthConfig { return s.r.Health() }
 
 // BackendEjected reports whether passive health currently holds the
 // backend address out of the rotation.
-func (s *Switch) BackendEjected(addr string) bool {
-	h := s.health[addr]
-	return h != nil && h.ejected
-}
+func (s *Switch) BackendEjected(addr string) bool { return s.r.BackendEjected(addr) }
 
 // EjectedTotal returns how many times a backend was ejected.
-func (s *Switch) EjectedTotal() int { return int(s.ejectedC.Value()) }
+func (s *Switch) EjectedTotal() int { return int(s.r.Ejected.Value()) }
 
 // ReadmittedTotal returns how many times an ejected backend was
 // re-admitted after a successful half-open probe.
-func (s *Switch) ReadmittedTotal() int { return int(s.readmitted.Value()) }
+func (s *Switch) ReadmittedTotal() int { return int(s.r.Readmitted.Value()) }
 
 // Node returns the node the switch executes on.
 func (s *Switch) Node() Node { return s.node }
@@ -451,127 +273,20 @@ func (s *Switch) emitTrace(t *Trace) {
 // binds each virtual service node's service instance after priming.
 func (s *Switch) Bind(e BackendEntry, h Handler) {
 	s.handlers[e.Addr()] = h
-	s.bindSeq++
+	s.r.Invalidate()
 }
 
 // Unbind removes a backend's handler (tear-down, resizing), along with
-// its forwarding statistics and per-backend latency histogram — without
-// the eviction, repeated resizing would grow the maps without bound.
+// its forwarding statistics, health record and per-backend latency
+// histogram — without the eviction, repeated resizing would grow them
+// without bound.
 func (s *Switch) Unbind(e BackendEntry) {
-	addr := e.Addr()
-	delete(s.handlers, addr)
-	delete(s.stats, addr)
-	delete(s.backendLat, addr)
-	delete(s.health, addr)
-	s.bindSeq++
+	delete(s.handlers, e.Addr())
+	s.r.Forget(e.Addr())
 }
 
 // StatsFor returns the forwarding statistics for a backend address.
-func (s *Switch) StatsFor(e BackendEntry) Stats {
-	if st := s.stats[e.Addr()]; st != nil {
-		return *st
-	}
-	return Stats{}
-}
-
-func (s *Switch) statRefAddr(addr string) *Stats {
-	st := s.stats[addr]
-	if st == nil {
-		st = &Stats{}
-		s.stats[addr] = st
-	}
-	return st
-}
-
-// healthRef returns the persistent health record for addr, or nil when
-// health tracking is disabled.
-func (s *Switch) healthRef(addr string) *backendHealth {
-	if s.healthCfg.EjectAfter == 0 {
-		return nil
-	}
-	h := s.health[addr]
-	if h == nil {
-		h = &backendHealth{addr: addr}
-		s.health[addr] = h
-	}
-	return h
-}
-
-// noteFailure records one failed interaction with a backend: a failed
-// probe re-arms the ejection window; enough consecutive in-rotation
-// failures eject the backend.
-func (s *Switch) noteFailure(h *backendHealth) {
-	if h == nil {
-		return
-	}
-	now := s.net.Kernel().Now()
-	wasProbe := h.probing
-	h.probing = false
-	if h.ejected {
-		if wasProbe {
-			h.reopenAt = now.Add(s.healthCfg.ProbeAfter)
-		}
-		return
-	}
-	h.fails++
-	if h.fails >= s.healthCfg.EjectAfter {
-		h.ejected = true
-		h.reopenAt = now.Add(s.healthCfg.ProbeAfter)
-		s.ejectedC.Inc()
-		s.flog.Warn("backend ejected",
-			telemetry.L("backend", h.addr),
-			telemetry.L("fails", fmt.Sprint(h.fails)))
-	}
-}
-
-// noteSuccess resets a backend's failure streak; a successful half-open
-// probe re-admits it to the rotation.
-func (s *Switch) noteSuccess(h *backendHealth) {
-	if h == nil {
-		return
-	}
-	h.fails = 0
-	h.probing = false
-	if h.ejected {
-		h.ejected = false
-		s.readmitted.Inc()
-		s.flog.Info("backend readmitted", telemetry.L("backend", h.addr))
-	}
-}
-
-// routesFor returns the cached route view for a component, rebuilding
-// the cache when the config version or bind set changed. A nil return
-// means no backends serve the component.
-func (s *Switch) routesFor(component string) *routeView {
-	version := s.Config.Version()
-	if s.routes == nil || version != s.cacheVersion || s.bindSeq != s.cacheBinds {
-		s.rebuildRoutes(version)
-	}
-	return s.routes[component]
-}
-
-// rebuildRoutes recomputes every component's parallel-array view. Runs
-// only on config/bind/instrument changes, never per request.
-func (s *Switch) rebuildRoutes(version int) {
-	s.routes = make(map[string]*routeView)
-	_, entries := s.Config.Snapshot()
-	for _, e := range entries {
-		v := s.routes[e.Component]
-		if v == nil {
-			v = &routeView{}
-			s.routes[e.Component] = v
-		}
-		addr := e.Addr()
-		v.entries = append(v.entries, e)
-		v.addrs = append(v.addrs, addr)
-		v.handlers = append(v.handlers, s.handlers[addr])
-		v.stats = append(v.stats, s.statRefAddr(addr))
-		v.hists = append(v.hists, s.backendHist(addr))
-		v.health = append(v.health, s.healthRef(addr))
-	}
-	s.cacheVersion = version
-	s.cacheBinds = s.bindSeq
-}
+func (s *Switch) StatsFor(e BackendEntry) Stats { return s.r.StatsFor(e.Addr()) }
 
 // getOp draws an inflight op from the free list, binding its stage
 // callbacks on first construction only.
@@ -589,9 +304,7 @@ func (s *Switch) getOp() *inflight {
 	}
 	op.onExec = func() {
 		op.tr.Picked = op.s.net.Kernel().Now()
-		if v := op.s.routesFor(op.req.Component); v != nil {
-			op.view = *v
-		}
+		op.rt = op.s.r.Route(op.req.Component)
 		op.s.forward(op)
 	}
 	op.onDeliver = func() { op.s.deliver(op) }
@@ -602,16 +315,15 @@ func (s *Switch) getOp() *inflight {
 // putOp returns an op to the free list. Callbacks copy what they need
 // before releasing: the op is reusable immediately afterwards.
 func (s *Switch) putOp(op *inflight) {
-	op.req, op.tr, op.view = Request{}, Trace{}, routeView{}
-	op.owned = false
-	op.pick, op.st, op.hist, op.hp, op.addr = 0, nil, nil, nil, ""
+	op.req, op.tr, op.rt, op.pick = Request{}, Trace{}, nil, 0
+	op.tried.Reset()
 	s.opFree = append(s.opFree, op)
 }
 
 // Route accepts one request: LAN hop to the switch, switch CPU, policy
 // pick, LAN hop to the backend, service handling. Dead backends are
-// skipped (the policy is re-consulted against the remaining set); if no
-// live backend remains, the request is dropped.
+// skipped (the pick walks on to an untried backend); if no live backend
+// remains, the request is dropped.
 func (s *Switch) Route(req Request) error {
 	op := s.getOp()
 	op.req = req
@@ -626,10 +338,6 @@ func (s *Switch) Route(req Request) error {
 		s.drop(op)
 		return fmt.Errorf("svcswitch: switch node %s is down", s.node.IP())
 	}
-	if version := s.Config.Version(); version != s.cfgSeen {
-		s.policy.Reset()
-		s.cfgSeen = version
-	}
 	// Client → switch.
 	if err := s.net.Transfer(req.ClientIP, s.node.IP(), req.Bytes, op.onArrive); err != nil {
 		s.drop(op)
@@ -640,10 +348,7 @@ func (s *Switch) Route(req Request) error {
 
 // drop records a failed request and retires its op.
 func (s *Switch) drop(op *inflight) {
-	s.dropped.Inc()
-	if op.tr.Retries > 0 {
-		s.retried.Add(int64(op.tr.Retries))
-	}
+	s.r.Dropped.Inc()
 	op.tr.Dropped = true
 	op.tr.Completed = s.net.Kernel().Now()
 	if s.rtc != nil {
@@ -665,75 +370,25 @@ func (s *Switch) dispatch(op *inflight) {
 	}
 }
 
-// applyHealth removes ejected backends from the candidate view before
-// the policy runs. If no candidate is usable the view is left intact
-// (fail open): routing to a possibly-dead backend beats certainly
-// dropping the request.
-func (s *Switch) applyHealth(op *inflight) {
-	hs := op.view.health
-	if len(hs) == 0 || s.healthCfg.EjectAfter == 0 {
-		return
-	}
-	now := s.net.Kernel().Now()
-	usable := 0
-	for i, h := range hs {
-		if op.view.handlers[i] == nil {
-			continue
-		}
-		if h == nil || h.usable(now) {
-			usable++
-		}
-	}
-	if usable == 0 {
-		return
-	}
-	for i := len(op.view.entries) - 1; i >= 0; i-- {
-		if h := op.view.health[i]; h != nil && !h.usable(now) {
-			op.dropCandidate(i)
-		}
-	}
-}
-
-// forward picks a backend from the op's candidate view and hands the
-// request over, retrying with the remaining candidates if the pick is
-// dead, unbound, or dies while the forward is in flight.
+// forward picks a backend from the op's route and hands the request
+// over, walking on to an untried backend if the pick is unbound or the
+// forward fails.
 func (s *Switch) forward(op *inflight) {
-	s.applyHealth(op)
-	for n := len(op.view.entries); n > 0; n = len(op.view.entries) {
-		if cap(op.statScratch) < n {
-			op.statScratch = make([]Stats, n)
+	now := int64(s.net.Kernel().Now())
+	for op.rt != nil {
+		i := s.r.Pick(op.rt, &op.tried, now)
+		if i < 0 {
+			break
 		}
-		stats := op.statScratch[:n]
-		for i, st := range op.view.stats {
-			stats[i] = *st
+		op.tr.Retries = op.tried.Len() - 1
+		if op.rt.Targets[i] == nil {
+			continue // unbound
 		}
-		idx, err := s.policy.Pick(op.view.entries, stats)
-		if err != nil || idx < 0 || idx >= n {
-			// Ill-behaved service-specific policy: this request fails;
-			// nothing outside this service is touched (§5).
-			s.drop(op)
-			return
-		}
-		if op.view.handlers[idx] == nil {
-			op.tr.Retries++
-			op.dropCandidate(idx)
-			continue
-		}
-		op.pick = idx
-		op.st = op.view.stats[idx]
-		op.hist = op.view.hists[idx]
-		op.hp = op.view.health[idx]
-		op.addr = op.view.addrs[idx]
-		if op.hp != nil && op.hp.ejected {
-			op.hp.probing = true // this request is the half-open probe
-		}
-		op.st.Active++
+		op.pick = i
+		s.r.Begin(op.rt, i)
 		// Switch → backend, then service handling.
-		if err := s.net.Transfer(s.node.IP(), op.view.entries[idx].IP, op.req.Bytes, op.onDeliver); err != nil {
-			op.st.Active--
-			s.noteFailure(op.hp)
-			op.tr.Retries++
-			op.dropCandidate(idx)
+		if err := s.net.Transfer(s.node.IP(), op.rt.Entries[i].IP, op.req.Bytes, op.onDeliver); err != nil {
+			s.r.Fail(op.rt, i, now)
 			continue
 		}
 		return
@@ -742,28 +397,22 @@ func (s *Switch) forward(op *inflight) {
 }
 
 // deliver runs when the request reaches the chosen backend: hand it to
-// the service handler, or retry the survivors if the backend died while
-// the forward was in flight.
+// the service handler, or walk on if the backend died while the forward
+// was in flight.
 func (s *Switch) deliver(op *inflight) {
 	op.tr.Delivered = s.net.Kernel().Now()
-	op.tr.Backend = op.addr
-	if op.view.handlers[op.pick](op.req.ClientIP, op.onServe) {
-		op.st.Forwarded++
-		s.routed.Inc()
+	op.tr.Backend = op.rt.Addrs[op.pick]
+	if op.rt.Targets[op.pick](op.req.ClientIP, op.onServe) {
+		s.r.Forwarded(op.rt, op.pick)
 		return
 	}
-	// Backend died after the forward: retry the survivors.
-	op.st.Active--
-	s.noteFailure(op.hp)
-	op.tr.Retries++
-	op.dropCandidate(op.pick)
+	s.r.Fail(op.rt, op.pick, int64(op.tr.Delivered))
 	s.forward(op)
 }
 
 // serve runs when the backend has delivered the response to the client.
 func (s *Switch) serve(op *inflight) {
-	op.st.Active--
-	s.noteSuccess(op.hp)
+	s.r.Done(op.rt, op.pick)
 	op.tr.Completed = s.net.Kernel().Now()
 	exID := op.tr.ID
 	if s.rtc != nil {
@@ -772,11 +421,8 @@ func (s *Switch) serve(op *inflight) {
 			exID = 0 // unretained: leave no dangling exemplar
 		}
 	}
-	s.latency.ObserveTraced(op.tr.Total().Seconds(), exID)
-	op.hist.ObserveTraced(op.tr.ServiceTime().Seconds(), exID)
-	if op.tr.Retries > 0 {
-		s.retried.Add(int64(op.tr.Retries))
-	}
+	op.rt.Latency.ObserveTraced(op.tr.Total().Seconds(), exID)
+	op.rt.Hists[op.pick].ObserveTraced(op.tr.ServiceTime().Seconds(), exID)
 	s.emitTrace(&op.tr)
 	onDone := op.req.OnDone
 	s.putOp(op)
