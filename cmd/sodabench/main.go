@@ -72,6 +72,7 @@ import (
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/sim"
 )
 
 type experiment struct {
@@ -80,7 +81,9 @@ type experiment struct {
 	run  func() (exp.Result, error)
 }
 
-func experiments() []experiment {
+// experiments is the table behind -exp; chaos runs under seed, as
+// -chaos does.
+func experiments(seed uint64) []experiment {
 	return []experiment{
 		{"table1", "machine configuration M", func() (exp.Result, error) { return exp.RunTable1() }},
 		{"table2", "service bootstrapping time (4 services × 2 hosts)", func() (exp.Result, error) { return exp.RunTable2() }},
@@ -98,7 +101,7 @@ func experiments() []experiment {
 		{"acct", "accounting: metered CPU shares vs scheduler proportions", func() (exp.Result, error) { return exp.RunAccounting() }},
 		{"breakdown", "supplementary: per-stage response-time breakdown", func() (exp.Result, error) { return exp.RunBreakdown() }},
 		{"sweep-inflation", "sweep: inflation factor 1.0..2.0", func() (exp.Result, error) { return exp.RunInflationSweep() }},
-		{"chaos", "fault lifecycle: host crash, detection, self-healing recovery", func() (exp.Result, error) { return exp.RunChaos() }},
+		{"chaos", "fault lifecycle: host crash, detection, self-healing recovery", func() (exp.Result, error) { return exp.RunChaosWith(seed, 20*sim.Second) }},
 		{"failover", "control-plane HA: leader crash, journal replay, warm-standby takeover", func() (exp.Result, error) { return exp.RunFailover() }},
 		{"flight", "flight recorder: routing hot-path overhead bare vs recording", func() (exp.Result, error) { return exp.RunFlightOverhead() }},
 		{"reqtrace", "request tracing: routing hot-path overhead bare vs tail sampler attached", func() (exp.Result, error) { return exp.RunReqtraceOverhead() }},
@@ -120,7 +123,7 @@ func main() {
 	replicas := flag.Int("replicas", 32, "primescale: replica host count for the mass prime")
 	flightOps := flag.Int("flight-ops", 100000, "flight: routed requests per trial")
 	flightTrials := flag.Int("flight-trials", 5, "flight: trials (minimum ns/op taken)")
-	seed := flag.Uint64("seed", 1, "chaos: fault schedule seed; primescale: testbed seed")
+	seed := flag.Uint64("seed", 1, "seed of -chaos and -exp chaos (fault schedule), -failover, -autoscale and -primescale")
 	backends := flag.Int("backends", 4, "throughput: number of live backends")
 	conc := flag.Int("conc", 16, "throughput: concurrent clients")
 	duration := flag.Duration("duration", 5*time.Second, "throughput: wall-clock measurement window; chaos: virtual run length (use 20s)")
@@ -191,7 +194,7 @@ func main() {
 	}
 
 	if *list {
-		for _, e := range experiments() {
+		for _, e := range experiments(*seed) {
 			fmt.Printf("%-9s %s\n", e.id, e.what)
 		}
 		return
@@ -199,7 +202,7 @@ func main() {
 
 	ran := 0
 	failed := 0
-	for _, e := range experiments() {
+	for _, e := range experiments(*seed) {
 		if *expFlag != "all" && *expFlag != e.id {
 			continue
 		}

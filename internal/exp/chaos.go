@@ -112,10 +112,6 @@ func chaosDetector() soda.HealthConfig {
 	}
 }
 
-// RunChaos runs the default chaos experiment: seed 1, 20 virtual
-// seconds.
-func RunChaos() (*ChaosResult, error) { return RunChaosWith(1, 20*sim.Second) }
-
 // RunChaosWith executes the fault-lifecycle experiment twice with the
 // same seed — the second run only to verify the fault schedule and
 // recovery event sequence are bit-identical — and returns the first

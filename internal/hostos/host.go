@@ -130,9 +130,9 @@ func New(k *sim.Kernel, spec Spec, scheduler sched.Scheduler) (*Host, error) {
 		cpuFinished: make(map[int]float64),
 		liveFlows:   make(map[*sim.Flow]int),
 	}
-	h.cpu = sim.NewFluidServer(k, spec.Name+"/cpu", float64(spec.Clock), sched.Policy(scheduler))
-	h.diskW = sim.NewFluidServer(k, spec.Name+"/disk-write", spec.DiskWriteMBps*1024*1024, sim.EqualShare)
-	h.diskR = sim.NewFluidServer(k, spec.Name+"/disk-read", spec.DiskReadMBps*1024*1024, sim.EqualShare)
+	h.cpu = sim.NewFluidServer(k, spec.Name+"/cpu", float64(spec.Clock), scheduler)
+	h.diskW = sim.NewFluidServer(k, spec.Name+"/disk-write", spec.DiskWriteMBps*1024*1024, sim.EqualShare{})
+	h.diskR = sim.NewFluidServer(k, spec.Name+"/disk-read", spec.DiskReadMBps*1024*1024, sim.EqualShare{})
 	return h, nil
 }
 
@@ -158,7 +158,7 @@ func (h *Host) SetScheduler(s sched.Scheduler) {
 		panic("hostos: nil scheduler")
 	}
 	h.scheduler = s
-	h.cpu.SetPolicy(sched.Policy(s))
+	h.cpu.SetPolicy(s)
 }
 
 // Clock returns the host CPU clock rate.
@@ -178,6 +178,7 @@ type Process struct {
 	Name string
 
 	h      *Host
+	meta   sched.FlowMeta // the scheduler's view of every flow the process submits
 	dead   bool
 	flows  map[*sim.Flow]struct{}
 	onKill []func()
@@ -190,6 +191,7 @@ func (h *Host) Spawn(name string, uid int) *Process {
 		UID:   uid,
 		Name:  name,
 		h:     h,
+		meta:  sched.FlowMeta{UID: uid, PID: h.nextPID},
 		flows: make(map[*sim.Flow]struct{}),
 	}
 	h.nextPID++
@@ -279,7 +281,7 @@ func (p *Process) Exec(c cycles.Cycles, onDone func()) *sim.Flow {
 	}
 	h := p.h
 	var f *sim.Flow
-	f = h.cpu.Submit(p.Name, 1, float64(c), &sched.FlowMeta{UID: p.UID, PID: p.PID}, func() {
+	f = h.cpu.Submit(p.Name, 1, float64(c), &p.meta, func() {
 		delete(p.flows, f)
 		h.cpuFinished[p.UID] += float64(c)
 		delete(h.liveFlows, f)
@@ -321,7 +323,7 @@ func (p *Process) WriteDisk(n int64, onDone func()) *sim.Flow {
 	// CPU cost of the write path: ~0.5 cycles/byte copy + write syscall.
 	cpuCost := cycles.Cycles(n/2) + cycles.HostCost(cycles.Write)
 	var f *sim.Flow
-	f = h.diskW.Submit(p.Name+"/write", 1, float64(n), &sched.FlowMeta{UID: p.UID, PID: p.PID}, func() {
+	f = h.diskW.Submit(p.Name+"/write", 1, float64(n), &p.meta, func() {
 		delete(p.flows, f)
 		p.Exec(cpuCost, onDone)
 	})
@@ -354,7 +356,7 @@ func (p *Process) readDisk(n int64, seek bool, onDone func()) *sim.Flow {
 			return
 		}
 		var f *sim.Flow
-		f = h.diskR.Submit(p.Name+"/read", 1, float64(n), &sched.FlowMeta{UID: p.UID, PID: p.PID}, func() {
+		f = h.diskR.Submit(p.Name+"/read", 1, float64(n), &p.meta, func() {
 			delete(p.flows, f)
 			p.Exec(cpuCost, onDone)
 		})

@@ -10,7 +10,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -36,18 +35,19 @@ func MetaOf(f *sim.Flow) *FlowMeta {
 	return m
 }
 
-// Scheduler turns the host's runnable flow set into per-flow CPU rates.
-// Implementations must be deterministic functions of (capacity, flows,
-// configured weights).
+// Scheduler is a CPU share policy for the host's fluid CPU: it classifies
+// each runnable flow once, when the burst starts, and divides the CPU
+// among the active classes on every change of the runnable set.
+// Implementations must be deterministic functions of (capacity, active
+// classes, configured weights).
 type Scheduler interface {
+	sim.SharePolicy
 	// Name identifies the policy in experiment output.
 	Name() string
-	// Assign sets the service rate of every flow; the sum must not exceed
-	// capacity.
-	Assign(capacity float64, flows []*sim.Flow)
 	// SetShare configures the CPU share (an arbitrary positive weight,
 	// e.g. reserved MHz) for a userid. Policies that ignore shares accept
-	// and discard them.
+	// and discard them. A new share takes effect at the next change of
+	// the runnable set.
 	SetShare(uid int, weight float64)
 	// ClearShare removes a userid's configured share.
 	ClearShare(uid int)
@@ -57,18 +57,13 @@ type Scheduler interface {
 // gets an equal share of the CPU, so a virtual service node with more
 // runnable processes receives proportionally more CPU — the unfairness
 // visible in Figure 5(a).
-type FairShare struct{}
+type FairShare struct{ sim.EqualShare }
 
 // NewFairShare returns the unmodified-Linux policy.
 func NewFairShare() *FairShare { return &FairShare{} }
 
 // Name implements Scheduler.
 func (*FairShare) Name() string { return "fair-share (unmodified Linux)" }
-
-// Assign implements Scheduler: equal rate per runnable flow.
-func (*FairShare) Assign(capacity float64, flows []*sim.Flow) {
-	sim.EqualShare(capacity, flows)
-}
 
 // SetShare implements Scheduler; FairShare has no per-userid state.
 func (*FairShare) SetShare(int, float64) {}
@@ -113,30 +108,21 @@ func (p *Proportional) Share(uid int) (float64, bool) {
 	return w, ok
 }
 
-// Assign implements Scheduler.
-func (p *Proportional) Assign(capacity float64, flows []*sim.Flow) {
-	if len(flows) == 0 {
-		return
-	}
-	byUID := make(map[int][]*sim.Flow)
-	for _, f := range flows {
-		uid := MetaOf(f).UID
-		byUID[uid] = append(byUID[uid], f)
-	}
-	uids := make([]int, 0, len(byUID))
+// Classify implements sim.SharePolicy: one class per userid, processes
+// weighted equally within it.
+func (*Proportional) Classify(f *sim.Flow) (uint64, float64) {
+	return uint64(MetaOf(f).UID), 1
+}
+
+// Divide implements sim.SharePolicy: the active userids split the CPU in
+// proportion to their configured weights.
+func (p *Proportional) Divide(capacity float64, classes []*sim.ShareClass) {
 	var totalWeight float64
-	for uid := range byUID {
-		uids = append(uids, uid)
-		totalWeight += p.weightOf(uid)
+	for _, c := range classes {
+		totalWeight += p.weightOf(int(c.Key))
 	}
-	sort.Ints(uids) // determinism
-	for _, uid := range uids {
-		group := byUID[uid]
-		groupRate := capacity * p.weightOf(uid) / totalWeight
-		perFlow := groupRate / float64(len(group))
-		for _, f := range group {
-			f.SetRate(perFlow)
-		}
+	for _, c := range classes {
+		c.Rate = capacity * p.weightOf(int(c.Key)) / totalWeight
 	}
 }
 
@@ -148,11 +134,4 @@ func (p *Proportional) weightOf(uid int) float64 {
 		return p.DefaultWeight
 	}
 	return 1
-}
-
-// Policy adapts a Scheduler to the fluid engine's RatePolicy.
-func Policy(s Scheduler) sim.RatePolicy {
-	return func(capacity float64, flows []*sim.Flow) {
-		s.Assign(capacity, flows)
-	}
 }

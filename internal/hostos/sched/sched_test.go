@@ -1,15 +1,19 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-func flowsWithUIDs(uids ...int) []*sim.Flow {
+// flowsWithUIDs submits one long CPU flow per uid to a server of the
+// given capacity scheduled by p, returning the flows with the rates p's
+// division gave them.
+func flowsWithUIDs(p Scheduler, capacity float64, uids ...int) []*sim.Flow {
 	k := sim.NewKernel()
-	s := sim.NewFluidServer(k, "t", 1e9, sim.EqualShare)
+	s := sim.NewFluidServer(k, "t", capacity, p)
 	var out []*sim.Flow
 	for i, uid := range uids {
 		f := s.Submit("f", 1, 1e6, &FlowMeta{UID: uid, PID: i + 1}, nil)
@@ -19,8 +23,7 @@ func flowsWithUIDs(uids ...int) []*sim.Flow {
 }
 
 func TestFairShareEqualPerProcess(t *testing.T) {
-	flows := flowsWithUIDs(100, 100, 100, 200)
-	NewFairShare().Assign(400, flows)
+	flows := flowsWithUIDs(NewFairShare(), 400, 100, 100, 100, 200)
 	for _, f := range flows {
 		if f.Rate() != 100 {
 			t.Fatalf("rate = %v, want 100", f.Rate())
@@ -31,11 +34,10 @@ func TestFairShareEqualPerProcess(t *testing.T) {
 func TestProportionalEnforcesPerUIDShares(t *testing.T) {
 	// uid 100 has 3 runnable processes, uid 200 has 1; equal weights mean
 	// each *uid* gets half the CPU regardless of process count.
-	flows := flowsWithUIDs(100, 100, 100, 200)
 	p := NewProportional()
 	p.SetShare(100, 512)
 	p.SetShare(200, 512)
-	p.Assign(600, flows)
+	flows := flowsWithUIDs(p, 600, 100, 100, 100, 200)
 	var uid100, uid200 float64
 	for _, f := range flows {
 		switch MetaOf(f).UID {
@@ -55,11 +57,10 @@ func TestProportionalEnforcesPerUIDShares(t *testing.T) {
 }
 
 func TestProportionalWeightedShares(t *testing.T) {
-	flows := flowsWithUIDs(1, 2)
 	p := NewProportional()
 	p.SetShare(1, 1024) // seattle-style node: capacity 2
 	p.SetShare(2, 512)  // capacity 1
-	p.Assign(900, flows)
+	flows := flowsWithUIDs(p, 900, 1, 2)
 	if math.Abs(flows[0].Rate()-600) > 1e-9 || math.Abs(flows[1].Rate()-300) > 1e-9 {
 		t.Fatalf("rates = %v, %v, want 600/300", flows[0].Rate(), flows[1].Rate())
 	}
@@ -68,11 +69,10 @@ func TestProportionalWeightedShares(t *testing.T) {
 func TestProportionalWorkConserving(t *testing.T) {
 	// Only uid 1 has runnable work: it gets the whole CPU even though its
 	// configured share is small.
-	flows := flowsWithUIDs(1, 1)
 	p := NewProportional()
 	p.SetShare(1, 10)
 	p.SetShare(2, 990) // absent uid
-	p.Assign(1000, flows)
+	flows := flowsWithUIDs(p, 1000, 1, 1)
 	var total float64
 	for _, f := range flows {
 		total += f.Rate()
@@ -83,9 +83,8 @@ func TestProportionalWorkConserving(t *testing.T) {
 }
 
 func TestProportionalDefaultWeightForUnregisteredUIDs(t *testing.T) {
-	flows := flowsWithUIDs(7, 8)
-	p := NewProportional() // no SetShare calls: both default to weight 1
-	p.Assign(100, flows)
+	// No SetShare calls: both uids default to weight 1.
+	flows := flowsWithUIDs(NewProportional(), 100, 7, 8)
 	if flows[0].Rate() != 50 || flows[1].Rate() != 50 {
 		t.Fatalf("rates = %v, %v, want 50/50", flows[0].Rate(), flows[1].Rate())
 	}
@@ -114,7 +113,7 @@ func TestProportionalRejectsNonPositiveShare(t *testing.T) {
 
 func TestMetaOfPanicsWithoutMeta(t *testing.T) {
 	k := sim.NewKernel()
-	s := sim.NewFluidServer(k, "t", 1, sim.EqualShare)
+	s := sim.NewFluidServer(k, "t", 1, sim.EqualShare{})
 	f := s.Submit("bare", 1, 1, nil, nil)
 	defer func() {
 		if recover() == nil {
@@ -130,24 +129,15 @@ func TestSchedulerNames(t *testing.T) {
 	}
 }
 
-func TestPolicyAdapterDelegates(t *testing.T) {
-	flows := flowsWithUIDs(1, 1)
-	Policy(NewFairShare())(100, flows)
-	if flows[0].Rate() != 50 {
-		t.Fatalf("adapter rate = %v", flows[0].Rate())
-	}
-}
-
 func TestProportionalDeterministicAcrossMapOrder(t *testing.T) {
 	// Many uids: repeated assignment must produce identical rates even
 	// though map iteration order varies.
 	for trial := 0; trial < 10; trial++ {
-		flows := flowsWithUIDs(5, 3, 9, 1, 7, 3, 5)
 		p := NewProportional()
 		for _, uid := range []int{1, 3, 5, 7, 9} {
 			p.SetShare(uid, float64(uid*100))
 		}
-		p.Assign(2500, flows)
+		flows := flowsWithUIDs(p, 2500, 5, 3, 9, 1, 7, 3, 5)
 		var total float64
 		for _, f := range flows {
 			total += f.Rate()
@@ -155,5 +145,53 @@ func TestProportionalDeterministicAcrossMapOrder(t *testing.T) {
 		if math.Abs(total-2500) > 1e-6 {
 			t.Fatalf("trial %d: total = %v", trial, total)
 		}
+	}
+}
+
+// churnCPU returns a CPU scheduled by Proportional with n resident
+// spinning flows spread over four userids of unequal shares.
+func churnCPU(n int) (*sim.Kernel, *sim.FluidServer) {
+	k := sim.NewKernel()
+	p := NewProportional()
+	for uid := 1; uid <= 4; uid++ {
+		p.SetShare(uid, float64(256*uid))
+	}
+	cpu := sim.NewFluidServer(k, "cpu", 2.6e9, p)
+	for i := 0; i < n; i++ {
+		cpu.Submit("spin", 1, 1e30, &FlowMeta{UID: 1 + i%4, PID: i + 1}, nil)
+	}
+	return k, cpu
+}
+
+// BenchmarkFluidChurn measures one arrival plus one departure on a
+// proportional-share CPU with n resident runnable flows: each op runs one
+// short burst to completion.
+func BenchmarkFluidChurn(b *testing.B) {
+	for _, n := range []int{500, 1000, 2000, 4000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			k, cpu := churnCPU(n)
+			meta := &FlowMeta{UID: 2, PID: n + 1}
+			done := func() {}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cpu.SubmitPooled("burst", 1, 1e5, meta, done)
+				k.Run()
+			}
+		})
+	}
+}
+
+func TestProportionalBurstAllocatesNothing(t *testing.T) {
+	k, cpu := churnCPU(100)
+	meta := &FlowMeta{UID: 3, PID: 1000}
+	done := func() {}
+	burst := func() {
+		cpu.SubmitPooled("burst", 1, 1e5, meta, done)
+		k.Run()
+	}
+	burst() // fill the flow and event pools
+	if a := testing.AllocsPerRun(200, burst); a != 0 {
+		t.Fatalf("steady-state CPU burst allocates %v times, want 0", a)
 	}
 }

@@ -129,3 +129,87 @@ func TestSyncCreateHelpersSurfaceErrors(t *testing.T) {
 		t.Fatal("resize of unknown service accepted")
 	}
 }
+
+// dottedQuad parses a valid IPv4 address in dotted-quad form.
+func dottedQuad(t *testing.T, ip simnet.IP) [4]int {
+	t.Helper()
+	var q [4]int
+	var rest string
+	if n, _ := fmt.Sscanf(string(ip)+" end", "%d.%d.%d.%d %s", &q[0], &q[1], &q[2], &q[3], &rest); n != 5 {
+		t.Fatalf("%q is not a dotted quad", ip)
+	}
+	for _, o := range q {
+		if o < 0 || o > 255 {
+			t.Fatalf("%q has an octet out of range", ip)
+		}
+	}
+	return q
+}
+
+func TestLargeTestbedAddressesAreDisjoint(t *testing.T) {
+	const n = 300
+	specs := make([]hostos.Spec, n)
+	for i := range specs {
+		specs[i] = hostos.Tacoma()
+		specs[i].Name = fmt.Sprintf("h%03d", i)
+	}
+	tb, err := New(Config{Hosts: specs, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := map[[4]int]string{} // every address any host or pool may use
+	claim := func(ip simnet.IP, who string) {
+		q := dottedQuad(t, ip)
+		if prev, dup := owner[q]; dup {
+			t.Fatalf("%s claimed by both %s and %s", ip, prev, who)
+		}
+		owner[q] = who
+	}
+	for _, ip := range []simnet.IP{MasterIP, AgentIP, StandbyIP, RepoIP} {
+		claim(ip, "control plane")
+	}
+	for i := range tb.Hosts {
+		hostIP, pool, err := hostAddressing(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nic, ok := tb.Net.Lookup(hostIP); !ok || nic.HostName != specs[i].Name {
+			t.Fatalf("host %d address %s not bridged to its NIC", i, hostIP)
+		}
+		claim(hostIP, specs[i].Name)
+		first, _ := pool.Allocate()
+		claim(first, specs[i].Name+" pool")
+		for pool.Free() > 0 {
+			ip, err := pool.Allocate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			claim(ip, specs[i].Name+" pool")
+		}
+		// The first 90 hosts keep their historical addresses and pools,
+		// so every digest recorded on smaller testbeds holds.
+		if i < 90 {
+			wantPool := fmt.Sprintf("128.10.%d.100", 40+i)
+			if i < 7 {
+				wantPool = fmt.Sprintf("128.10.9.%d", 100+20*i)
+			}
+			if want := fmt.Sprintf("128.10.9.%d", 10+i); hostIP != simnet.IP(want) || first != simnet.IP(wantPool) {
+				t.Fatalf("host %d address %s pool from %s, want %s and %s", i, hostIP, first, want, wantPool)
+			}
+		}
+	}
+	// The last host the plan supports still gets a valid address.
+	last, _, err := hostAddressing(maxHosts - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dottedQuad(t, last)
+	tooMany := make([]hostos.Spec, maxHosts+1)
+	for i := range tooMany {
+		tooMany[i] = hostos.Tacoma()
+		tooMany[i].Name = fmt.Sprintf("h%d", i)
+	}
+	if _, err := New(Config{Hosts: tooMany}); err == nil || !strings.Contains(err.Error(), "address plan") {
+		t.Fatalf("testbed beyond the address plan: err = %v", err)
+	}
+}

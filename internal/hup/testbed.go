@@ -86,6 +86,31 @@ type Testbed struct {
 	autoscaling bool
 }
 
+// maxHosts is the largest HUP the address plan of hostAddressing covers.
+const maxHosts = 4096
+
+// hostAddressing returns host i's own address and its daemon's disjoint
+// IP pool (§4.3). The first 90 hosts share the 128.10.9 subnet with the
+// control plane: host addresses .10–.99, and the first seven pools
+// .100–.239; pools 7–89 each get 128.10.(40+i).100–119. Every later host
+// gets a /24 of its own under 128.11.0.0 and up — its address at .10,
+// its pool at .100–.119 — so large replica fleets (the -primescale
+// experiment) build without collisions.
+func hostAddressing(i int) (simnet.IP, *simnet.IPPool, error) {
+	hostIP := simnet.IP(fmt.Sprintf("128.10.9.%d", 10+i))
+	subnet, lo := fmt.Sprintf("128.10.%d", 40+i), 100
+	switch {
+	case i < 7:
+		subnet, lo = "128.10.9", 100+i*20
+	case i >= 90:
+		j := i - 90
+		subnet = fmt.Sprintf("128.%d.%d", 11+j/256, j%256)
+		hostIP = simnet.IP(subnet + ".10")
+	}
+	pool, err := simnet.NewIPPool(subnet, lo, lo+19)
+	return hostIP, pool, err
+}
+
 // New builds a testbed.
 func New(cfg Config) (*Testbed, error) {
 	if cfg.Hosts == nil {
@@ -96,6 +121,9 @@ func New(cfg Config) (*Testbed, error) {
 	}
 	if cfg.NewScheduler == nil {
 		cfg.NewScheduler = func() sched.Scheduler { return sched.NewProportional() }
+	}
+	if len(cfg.Hosts) > maxHosts {
+		return nil, fmt.Errorf("hup: %d hosts exceed the %d the address plan supports", len(cfg.Hosts), maxHosts)
 	}
 	k := sim.NewKernel()
 	net := simnet.New(k, cfg.Latency)
@@ -110,20 +138,11 @@ func New(cfg Config) (*Testbed, error) {
 		if err != nil {
 			return nil, err
 		}
-		hostIP := simnet.IP(fmt.Sprintf("128.10.9.%d", 10+i))
-		if err := nic.AddIP(hostIP); err != nil {
+		hostIP, pool, err := hostAddressing(i)
+		if err != nil {
 			return nil, err
 		}
-		// Disjoint per-daemon IP pools (§4.3). The first hosts share the
-		// .9 subnet with the control plane; once that octet would
-		// overflow, each further daemon gets a subnet of its own, so
-		// large replica fleets (the -primescale experiment) still build.
-		subnet, lo := "128.10.9", 100+i*20
-		if lo+19 > 255 {
-			subnet, lo = fmt.Sprintf("128.10.%d", 40+i), 100
-		}
-		pool, err := simnet.NewIPPool(subnet, lo, lo+19)
-		if err != nil {
+		if err := nic.AddIP(hostIP); err != nil {
 			return nil, err
 		}
 		d, err := soda.NewDaemon(soda.DaemonConfig{

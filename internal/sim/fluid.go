@@ -1,124 +1,168 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Flow is a unit of work draining through a FluidServer: a CPU burst
 // (work = cycles), a network transfer (work = bytes), or a disk write
-// (work = bytes). The server's rate policy divides capacity among active
-// flows; the flow completes when its remaining work reaches zero.
+// (work = bytes). The server's share policy places the flow in a class;
+// the class's rate is divided among its flows by in-class weight, and the
+// flow completes when its remaining work reaches zero.
 type Flow struct {
 	// Label identifies the flow in traces and debugging output.
 	Label string
-	// Weight is consumed by weight-aware rate policies; 1 by default.
+	// Weight is consumed by weight-aware share policies; 1 by default.
 	Weight float64
 	// Meta lets resource models attach their own bookkeeping (e.g. the
 	// owning process) without the fluid engine knowing about it.
 	Meta any
 
-	remaining float64
-	rate      float64
-	served    float64
-	onDone    func()
-	server    *FluidServer
-	index     int  // position in server.flows, -1 when inactive
-	pooled    bool // recycled into the server's free list on completion
+	// While the flow is in service, mark is its finish tag — the class
+	// virtual time V at which it drains — and base is the work it had
+	// been served at its last attach less w times V at that attach, so
+	// that it has been served base + w·V. Once inactive, mark holds the
+	// work remaining and base the work served. Sharing the two fields
+	// keeps a Flow at 96 bytes; the host CPU allocates one per burst.
+	mark, base float64
+	w          float64     // in-class weight the policy assigned
+	seq        uint64      // submit order, breaking finish-tag ties
+	class      *ShareClass // nil when inactive
+	onDone     func()
+	hidx       int32 // position in class.heap, -1 when inactive
+	pooled     bool  // recycled into the server's free list on completion
 }
 
-// Remaining returns the work left in the flow, after accounting for any
-// service accrued up to the server's current virtual time.
+// Remaining returns the work left in the flow at the server's current
+// virtual time. It costs O(1) and does not disturb the server.
 func (f *Flow) Remaining() float64 {
-	if f.server != nil {
-		f.server.settle()
+	if f.class == nil {
+		return f.mark
 	}
-	return f.remaining
+	return max(0, (f.mark-f.class.server.virtualNow(f.class))*f.w)
 }
 
-// Served returns the total work completed by the flow so far.
+// Served returns the total work completed by the flow so far. It is
+// measured from the flow's attach, not derived from Remaining, so a
+// near-infinite flow (a spinning process) still reports its service to
+// the cycle.
 func (f *Flow) Served() float64 {
-	if f.server != nil {
-		f.server.settle()
+	if f.class == nil {
+		return f.base
 	}
-	return f.served
+	return f.base + min(f.class.server.virtualNow(f.class), f.mark)*f.w
 }
 
-// Rate returns the service rate (work units per second) most recently
-// assigned by the rate policy, zero if the flow is inactive.
-func (f *Flow) Rate() float64 { return f.rate }
-
-// SetRate assigns the flow's service rate. It exists for RatePolicy
-// implementations living outside this package; calling it from anywhere
-// else has no lasting effect, since the next reschedule overwrites it.
-func (f *Flow) SetRate(r float64) { f.rate = r }
+// Rate returns the service rate (work units per second) the flow received
+// at the last re-division, zero if the flow is inactive.
+func (f *Flow) Rate() float64 {
+	if f.class == nil {
+		return 0
+	}
+	return f.class.slope * f.w
+}
 
 // Active reports whether the flow is currently attached to a server.
-func (f *Flow) Active() bool { return f.server != nil }
+func (f *Flow) Active() bool { return f.class != nil }
 
 // AddWork increases the flow's remaining work while it is in service.
 // Used by long-lived flows (e.g. a spinning process) that never drain.
 func (f *Flow) AddWork(units float64) {
-	if f.server == nil {
-		f.remaining += units
+	if f.class == nil {
+		f.mark += units
 		return
 	}
-	s := f.server
+	s := f.class.server
 	s.settle()
-	f.remaining += units
+	f.mark += units / f.w
+	f.class.fix(int(f.hidx))
 	s.reschedule()
 }
 
-// RatePolicy assigns a service rate to every active flow. Implementations
-// must set f.rate (units/second) on each flow; the sum may not exceed the
-// server's capacity, but the engine does not verify this — policies are
-// trusted, and deliberately-wrong policies are used in ablation tests.
-type RatePolicy func(capacity float64, flows []*Flow)
+// ShareClass is one class of a FluidServer's active flows. The policy
+// sets Rate; the engine divides it among the class's flows in proportion
+// to their in-class weights, tracking the class's virtual time — the
+// cumulative service one unit of weight has received — so that no flow
+// needs touching when the rate changes (generalised processor sharing).
+type ShareClass struct {
+	// Key is the class key the policy returned from Classify.
+	Key uint64
+	// Weight is the sum of the in-class weights of the class's flows.
+	Weight float64
+	// Rate is the class's service rate, set by the policy's Divide.
+	Rate float64
+
+	server *FluidServer
+	v      float64 // virtual time: service per unit weight since activation
+	slope  float64 // dv/dt under the current division: Rate/Weight
+	heap   []*Flow // min-heap on (finish tag, seq)
+	pos    int     // index in the server's active list, -1 when inactive
+}
+
+// Flows returns the number of active flows in the class.
+func (c *ShareClass) Flows() int { return len(c.heap) }
+
+// SharePolicy divides a FluidServer's capacity. It is consulted in two
+// parts: Classify places each flow, once when it is submitted, in a class
+// and gives it an in-class weight; Divide assigns a Rate to every active
+// class whenever the set of flows changes. Divide sees classes, never
+// flows, so re-division costs O(#classes) however many flows are queued.
+// Policies are trusted: the engine does not check that the rates sum to
+// no more than capacity.
+type SharePolicy interface {
+	// Classify returns the flow's class key and its positive in-class
+	// weight.
+	Classify(f *Flow) (key uint64, weight float64)
+	// Divide sets Rate on each of the active classes; classes is never
+	// empty and its order is deterministic.
+	Divide(capacity float64, classes []*ShareClass)
+}
 
 // EqualShare divides capacity equally among active flows — the policy of a
-// fair queueing link or an unmodified per-process fair CPU scheduler.
-func EqualShare(capacity float64, flows []*Flow) {
-	if len(flows) == 0 {
-		return
-	}
-	share := capacity / float64(len(flows))
-	for _, f := range flows {
-		f.rate = share
-	}
-}
+// fair queueing link or an unmodified per-process fair CPU scheduler. All
+// flows form one class of weight-1 members.
+type EqualShare struct{}
+
+// Classify implements SharePolicy.
+func (EqualShare) Classify(*Flow) (uint64, float64) { return 0, 1 }
+
+// Divide implements SharePolicy.
+func (EqualShare) Divide(capacity float64, classes []*ShareClass) { classes[0].Rate = capacity }
 
 // WeightedShare divides capacity in proportion to flow weights
-// (generalised processor sharing).
-func WeightedShare(capacity float64, flows []*Flow) {
-	var total float64
-	for _, f := range flows {
-		w := f.Weight
-		if w <= 0 {
-			w = 1
-		}
-		total += w
+// (generalised processor sharing): one class, weighted by Flow.Weight,
+// with non-positive weights counting as 1.
+type WeightedShare struct{}
+
+// Classify implements SharePolicy.
+func (WeightedShare) Classify(f *Flow) (uint64, float64) {
+	if f.Weight <= 0 {
+		return 0, 1
 	}
-	if total == 0 {
-		return
-	}
-	for _, f := range flows {
-		w := f.Weight
-		if w <= 0 {
-			w = 1
-		}
-		f.rate = capacity * w / total
-	}
+	return 0, f.Weight
 }
 
+// Divide implements SharePolicy.
+func (WeightedShare) Divide(capacity float64, classes []*ShareClass) { classes[0].Rate = capacity }
+
 // FluidServer is a capacity-C resource shared by a dynamic set of flows
-// under a pluggable rate policy, simulated exactly in the fluid limit:
-// rates are piecewise constant between flow arrivals/departures, and the
-// next departure is scheduled in O(n).
+// under a class-structured share policy, simulated exactly in the fluid
+// limit: rates are piecewise constant between flow arrivals and
+// departures. Each class keeps its own virtual time and a heap of its
+// flows ordered by finish tag, so an arrival or departure costs
+// O(log n + #classes) rather than a pass over every flow.
 type FluidServer struct {
 	// Name identifies the resource in panics and traces.
 	Name string
 
 	k        *Kernel
 	capacity float64
-	policy   RatePolicy
-	flows    []*Flow
+	policy   SharePolicy
+	active   []*ShareClass // active classes, in activation order
+	spare    []*ShareClass // recycled empty classes
+	flows    int
+	seq      uint64
 	settled  Time
 	next     Timer
 	onNext   func()  // pre-bound next-completion callback (no per-reschedule alloc)
@@ -130,13 +174,13 @@ type FluidServer struct {
 }
 
 // NewFluidServer returns a server with the given capacity (work units per
-// second of virtual time) and rate policy.
-func NewFluidServer(k *Kernel, name string, capacity float64, policy RatePolicy) *FluidServer {
+// second of virtual time) and share policy; nil means EqualShare.
+func NewFluidServer(k *Kernel, name string, capacity float64, policy SharePolicy) *FluidServer {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("sim: fluid server %q with non-positive capacity", name))
 	}
 	if policy == nil {
-		policy = EqualShare
+		policy = EqualShare{}
 	}
 	s := &FluidServer{Name: name, k: k, capacity: capacity, policy: policy, settled: k.Now()}
 	s.onNext = func() {
@@ -151,7 +195,7 @@ func NewFluidServer(k *Kernel, name string, capacity float64, policy RatePolicy)
 func (s *FluidServer) Capacity() float64 { return s.capacity }
 
 // SetCapacity changes the server's service rate, re-dividing it among
-// active flows immediately (used for resizing experiments).
+// active classes immediately (used for resizing experiments).
 func (s *FluidServer) SetCapacity(c float64) {
 	if c <= 0 {
 		panic(fmt.Sprintf("sim: fluid server %q resized to non-positive capacity", s.Name))
@@ -161,24 +205,45 @@ func (s *FluidServer) SetCapacity(c float64) {
 	s.reschedule()
 }
 
-// SetPolicy swaps the rate policy at the current instant — the mechanism
-// behind the Figure 5 scheduler comparison.
-func (s *FluidServer) SetPolicy(p RatePolicy) {
+// SetPolicy swaps the share policy at the current instant — the mechanism
+// behind the Figure 5 scheduler comparison. Every flow is classified
+// afresh, so this is the one O(n log n) operation.
+func (s *FluidServer) SetPolicy(p SharePolicy) {
 	if p == nil {
-		panic("sim: nil rate policy")
+		panic("sim: nil share policy")
 	}
 	s.settle()
 	s.policy = p
+	flows := s.Flows()
+	rem := make([]float64, len(flows))
+	for i, f := range flows {
+		rem[i] = s.detach(f)
+	}
+	for i, f := range flows {
+		s.attach(f, rem[i])
+	}
+	s.reschedule()
+}
+
+// Redivide re-runs the policy's Divide at the current instant. Policies
+// whose class weights or ceilings live outside the engine (a traffic
+// shaper's allocations) call it after changing them; flows keep their
+// finish tags, so it costs O(#classes).
+func (s *FluidServer) Redivide() {
+	s.settle()
 	s.reschedule()
 }
 
 // ActiveFlows returns the number of flows currently in service.
-func (s *FluidServer) ActiveFlows() int { return len(s.flows) }
+func (s *FluidServer) ActiveFlows() int { return s.flows }
 
-// Flows returns a snapshot of the active flow set.
+// Flows returns a snapshot of the active flow set in submit order.
 func (s *FluidServer) Flows() []*Flow {
-	out := make([]*Flow, len(s.flows))
-	copy(out, s.flows)
+	out := make([]*Flow, 0, s.flows)
+	for _, c := range s.active {
+		out = append(out, c.heap...)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
 	return out
 }
 
@@ -186,8 +251,8 @@ func (s *FluidServer) Flows() []*Flow {
 // a fresh kernel event) when the work drains. Submit with non-positive work
 // completes immediately.
 func (s *FluidServer) Submit(label string, weight, work float64, meta any, onDone func()) *Flow {
-	f := &Flow{Label: label, Weight: weight, Meta: meta, remaining: work, onDone: onDone, index: -1}
-	s.start(f, work, onDone)
+	f := &Flow{Label: label, Weight: weight, Meta: meta, mark: work, onDone: onDone, hidx: -1}
+	s.start(f, work)
 	return f
 }
 
@@ -204,17 +269,19 @@ func (s *FluidServer) SubmitPooled(label string, weight, work float64, meta any,
 	} else {
 		f = &Flow{}
 	}
-	*f = Flow{Label: label, Weight: weight, Meta: meta, remaining: work, onDone: onDone, index: -1, pooled: true}
-	s.start(f, work, onDone)
+	*f = Flow{Label: label, Weight: weight, Meta: meta, mark: work, onDone: onDone, hidx: -1, pooled: true}
+	s.start(f, work)
 	return f
 }
 
 // start attaches a prepared flow, or completes it immediately when it
 // carries no work.
-func (s *FluidServer) start(f *Flow, work float64, onDone func()) {
+func (s *FluidServer) start(f *Flow, work float64) {
+	f.seq = s.seq
+	s.seq++
 	if work <= 0 {
-		if onDone != nil {
-			s.k.Immediately(onDone)
+		if f.onDone != nil {
+			s.k.Immediately(f.onDone)
 		}
 		if f.pooled {
 			s.recycleFlow(f)
@@ -222,22 +289,20 @@ func (s *FluidServer) start(f *Flow, work float64, onDone func()) {
 		return
 	}
 	s.settle()
-	f.server = s
-	f.index = len(s.flows)
-	s.flows = append(s.flows, f)
+	s.attach(f, work)
 	s.reschedule()
 }
 
 // recycleFlow returns a detached pooled flow to the free list.
 func (s *FluidServer) recycleFlow(f *Flow) {
-	*f = Flow{index: -1}
+	*f = Flow{hidx: -1}
 	s.free = append(s.free, f)
 }
 
 // Cancel removes a flow without completing it. It reports whether the flow
 // was active. The flow's onDone callback does not fire.
 func (s *FluidServer) Cancel(f *Flow) bool {
-	if f.server != s {
+	if f.class == nil || f.class.server != s {
 		return false
 	}
 	s.settle()
@@ -249,74 +314,149 @@ func (s *FluidServer) Cancel(f *Flow) bool {
 	return true
 }
 
-// SetWeight changes a flow's weight and re-divides rates.
+// SetWeight changes a flow's weight and re-divides rates. The flow is
+// classified afresh, since its weight may move it to another class.
 func (s *FluidServer) SetWeight(f *Flow, w float64) {
 	s.settle()
 	f.Weight = w
+	if f.class != nil && f.class.server == s {
+		s.attach(f, s.detach(f))
+	}
 	s.reschedule()
 }
 
-func (s *FluidServer) detach(f *Flow) {
-	i := f.index
-	last := len(s.flows) - 1
-	s.flows[i] = s.flows[last]
-	s.flows[i].index = i
-	s.flows[last] = nil
-	s.flows = s.flows[:last]
-	f.server = nil
-	f.index = -1
-	f.rate = 0
+// attach classifies f and enters it into its class with rem work left.
+// Callers must settle() first.
+func (s *FluidServer) attach(f *Flow, rem float64) {
+	key, w := s.policy.Classify(f)
+	if !(w > 0) {
+		panic(fmt.Sprintf("sim: fluid server %q: policy gave flow %q weight %v", s.Name, f.Label, w))
+	}
+	c := s.class(key)
+	f.class, f.w = c, w
+	f.base -= w * c.v
+	f.mark = c.v + rem/w
+	c.Weight += w
+	c.push(f)
+	s.flows++
 }
 
-// settle advances every active flow's accounting to the current virtual
-// time at the rates assigned at the last reschedule.
+// detach removes f from its class and returns its remaining work. A
+// flow overtaken by its class's virtual time (the ≥1 ns completion clamp
+// overshoots by a fraction of a nanosecond of service) has nothing left,
+// and the overshoot is taken back out of TotalServed. Callers must
+// settle() first.
+func (s *FluidServer) detach(f *Flow) float64 {
+	c := f.class
+	rem := (f.mark - c.v) * f.w
+	if rem < 0 {
+		s.TotalServed += rem
+		rem = 0
+	}
+	served := f.base + min(c.v, f.mark)*f.w
+	c.remove(int(f.hidx))
+	c.Weight -= f.w
+	s.flows--
+	if len(c.heap) == 0 {
+		s.deactivate(c)
+	}
+	f.class, f.hidx = nil, -1
+	f.mark, f.base = rem, served
+	return rem
+}
+
+// class returns the active class for key, activating one with its
+// virtual time at zero if there is none. The scan is O(#classes), the
+// same as the Divide every arrival runs, and spares every server a map:
+// a testbed has one server per NIC, and one NIC per client machine.
+func (s *FluidServer) class(key uint64) *ShareClass {
+	for _, c := range s.active {
+		if c.Key == key {
+			return c
+		}
+	}
+	var c *ShareClass
+	if n := len(s.spare); n > 0 {
+		c = s.spare[n-1]
+		s.spare[n-1] = nil
+		s.spare = s.spare[:n-1]
+	} else {
+		c = &ShareClass{server: s}
+	}
+	c.Key, c.Weight, c.Rate, c.v, c.slope = key, 0, 0, 0, 0
+	c.pos = len(s.active)
+	s.active = append(s.active, c)
+	return c
+}
+
+// deactivate retires an emptied class to the spare list.
+func (s *FluidServer) deactivate(c *ShareClass) {
+	last := len(s.active) - 1
+	s.active[c.pos] = s.active[last]
+	s.active[c.pos].pos = c.pos
+	s.active[last] = nil
+	s.active = s.active[:last]
+	c.pos = -1
+	s.spare = append(s.spare, c)
+}
+
+// virtualNow projects c's virtual time to the current instant without
+// settling the server.
+func (s *FluidServer) virtualNow(c *ShareClass) float64 {
+	return c.v + c.slope*s.k.Now().Sub(s.settled).Seconds()
+}
+
+// settle advances every active class's virtual time to the current
+// instant at the rates of the last division.
 func (s *FluidServer) settle() {
 	now := s.k.Now()
-	dt := now.Sub(s.settled).Seconds()
-	if dt > 0 {
-		for _, f := range s.flows {
-			served := f.rate * dt
-			if served > f.remaining {
-				served = f.remaining
-			}
-			f.remaining -= served
-			f.served += served
-			s.TotalServed += served
+	if dt := now.Sub(s.settled).Seconds(); dt > 0 {
+		for _, c := range s.active {
+			c.v += c.slope * dt
+			s.TotalServed += c.Rate * dt
 		}
 	}
 	s.settled = now
 }
 
-// reschedule recomputes rates and (re)arms the next-completion event.
-// Callers must settle() first.
+// reschedule completes drained flows, re-divides capacity among the
+// active classes and (re)arms the next-completion event. Callers must
+// settle() first.
 func (s *FluidServer) reschedule() {
-	s.next.Cancel()
-	s.next = Timer{}
-	// Complete any flows that drained (to within fluid-model tolerance)
+	// Complete the flows that drained (to within fluid-model tolerance)
 	// at this instant. The tolerance is relative to the flow's total work
 	// so byte-sized and gigacycle-sized flows both terminate cleanly.
-	for i := 0; i < len(s.flows); {
-		f := s.flows[i]
-		if f.remaining <= 1e-9*(1+f.served) {
+	for i := 0; i < len(s.active); {
+		c := s.active[i]
+		for len(c.heap) > 0 {
+			f := c.heap[0]
+			rem := (f.mark - c.v) * f.w
+			if rem > 1e-9*(1+f.base+c.v*f.w) {
+				break
+			}
 			s.completeNow(f)
-			continue
 		}
-		i++
+		if c.pos == i {
+			i++
+		}
 	}
-	if len(s.flows) == 0 {
+	if s.flows == 0 {
+		s.arm(MaxTime)
 		return
 	}
-	s.policy(s.capacity, s.flows)
+	s.policy.Divide(s.capacity, s.active)
 	earliest := MaxTime
-	for _, f := range s.flows {
-		if f.rate <= 0 {
-			continue
+	for _, c := range s.active {
+		c.slope = 0
+		if c.Rate <= 0 {
+			continue // starved; a future set change will reschedule
 		}
-		secs := f.remaining / f.rate
+		c.slope = c.Rate / c.Weight
+		secs := (c.heap[0].mark - c.v) / c.slope
 		// Flows that would take centuries of virtual time (Spin loops,
 		// effectively-infinite work) get no completion event: converting
 		// their ETA to Duration would overflow int64, and any flow-set
-		// change reschedules everything anyway.
+		// change reschedules anyway.
 		if secs > 1e9 {
 			continue
 		}
@@ -326,23 +466,34 @@ func (s *FluidServer) reschedule() {
 		if delta < Nanosecond {
 			delta = Nanosecond
 		}
-		eta := s.k.Now().Add(delta)
-		if eta < earliest {
+		if eta := s.k.Now().Add(delta); eta < earliest {
 			earliest = eta
 		}
 	}
-	if earliest == MaxTime {
-		return // all flows starved; a future set change will reschedule
+	s.arm(earliest)
+}
+
+// arm points the next-completion event at t; MaxTime means none (every
+// class starved or effectively infinite). An event already pending at t
+// is kept: a change confined to one class leaves the others' completion
+// times as they were, and re-arming would only leave a cancelled event
+// behind in the kernel's queue.
+func (s *FluidServer) arm(t Time) {
+	if s.next.Pending() && s.next.When() == t {
+		return
 	}
-	s.next = s.k.At(earliest, s.onNext)
+	s.next.Cancel()
+	s.next = Timer{}
+	if t != MaxTime {
+		s.next = s.k.At(t, s.onNext)
+	}
 }
 
 func (s *FluidServer) completeNow(f *Flow) {
-	f.served += f.remaining
-	s.TotalServed += f.remaining
-	f.remaining = 0
+	rem := s.detach(f)
+	s.TotalServed += rem
+	f.mark, f.base = 0, f.base+rem
 	done := f.onDone
-	s.detach(f)
 	if f.pooled {
 		s.recycleFlow(f)
 	}
@@ -360,4 +511,80 @@ func (s *FluidServer) Utilisation() float64 {
 		return 0
 	}
 	return s.TotalServed / (s.capacity * elapsed)
+}
+
+// The class heap is a hand-rolled binary min-heap on (tag, seq) that
+// keeps each flow's index current, so removal and re-keying of an
+// arbitrary flow cost O(log n) without container/heap's interface calls.
+
+func flowLess(a, b *Flow) bool {
+	if a.mark != b.mark {
+		return a.mark < b.mark
+	}
+	return a.seq < b.seq
+}
+
+func (c *ShareClass) push(f *Flow) {
+	f.hidx = int32(len(c.heap))
+	c.heap = append(c.heap, f)
+	c.up(len(c.heap) - 1)
+}
+
+// remove deletes the flow at heap index i.
+func (c *ShareClass) remove(i int) {
+	last := len(c.heap) - 1
+	if i != last {
+		c.swap(i, last)
+	}
+	c.heap[last] = nil
+	c.heap = c.heap[:last]
+	if i != last {
+		c.fix(i)
+	}
+}
+
+// fix restores the heap after the flow at index i changed its tag.
+func (c *ShareClass) fix(i int) {
+	if !c.down(i) {
+		c.up(i)
+	}
+}
+
+func (c *ShareClass) swap(i, j int) {
+	h := c.heap
+	h[i], h[j] = h[j], h[i]
+	h[i].hidx = int32(i)
+	h[j].hidx = int32(j)
+}
+
+func (c *ShareClass) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !flowLess(c.heap[i], c.heap[parent]) {
+			return
+		}
+		c.swap(i, parent)
+		i = parent
+	}
+}
+
+// down sifts the flow at i toward the leaves, reporting whether it moved.
+func (c *ShareClass) down(i int) bool {
+	start, n := i, len(c.heap)
+	for {
+		left := 2*i + 1
+		if left >= n {
+			break
+		}
+		best := left
+		if right := left + 1; right < n && flowLess(c.heap[right], c.heap[left]) {
+			best = right
+		}
+		if !flowLess(c.heap[best], c.heap[i]) {
+			break
+		}
+		c.swap(i, best)
+		i = best
+	}
+	return i > start
 }

@@ -10,10 +10,10 @@ import (
 // engine.
 func Mbps(m float64) float64 { return m * 1e6 / 8 }
 
-// flowMeta tags every transfer flow with its endpoints so the traffic
-// shaper can group by source IP.
+// flowMeta tags every transfer flow with its source address's shaper
+// class key (see Network.classKey).
 type flowMeta struct {
-	src, dst IP
+	class uint64
 }
 
 // ShaperMode selects the outbound traffic shaper's semantics (§4.2: the
@@ -54,22 +54,12 @@ type NIC struct {
 	out      *sim.FluidServer
 	rateMbps float64
 	ips      map[IP]bool
-	caps     map[IP]float64 // bytes/sec allocation per source IP
-	mode     ShaperMode
-	groups   []ipGroup // shaper scratch, reused across reschedules
+	shaper   shaper
 }
 
 // RateMbps returns the NIC's attached line rate in Mbps — what download
 // estimators use to size deadlines for flows this NIC will serve.
 func (nic *NIC) RateMbps() float64 { return nic.rateMbps }
-
-// ipGroup collects one source IP's active flows for the shaper. The
-// slice headers are reused between policy invocations so the rate
-// division on the hot path does not allocate.
-type ipGroup struct {
-	ip    IP
-	flows []*sim.Flow
-}
 
 // Network is the LAN fabric connecting HUP hosts, ASP machines, and
 // clients.
@@ -79,6 +69,11 @@ type Network struct {
 	nics    map[string]*NIC
 	owner   map[IP]*bridgeEntry
 	opFree  []*transferOp // recycled transfer operations
+
+	// classKeys interns addresses as the shaper's class keys. Keys are
+	// never released, so an address keeps its key across re-bridging;
+	// the table is bounded by the distinct addresses ever seen.
+	classKeys map[IP]uint64
 
 	// faults holds the injected link impairments, keyed by directed
 	// (srcHost, dstHost) pair; "*" matches any host. Empty in normal
@@ -108,7 +103,8 @@ type linkFault struct {
 // the data path.
 type bridgeEntry struct {
 	nic   *NIC
-	bytes int64 // outbound bytes submitted from this source address
+	bytes int64  // outbound bytes submitted from this source address
+	class uint64 // the address's shaper class key
 }
 
 // transferOp is the per-transfer state of Network.Transfer. Ops are
@@ -159,11 +155,23 @@ func New(k *sim.Kernel, latency sim.Duration) *Network {
 		panic("simnet: negative latency")
 	}
 	return &Network{
-		k:       k,
-		latency: latency,
-		nics:    make(map[string]*NIC),
-		owner:   make(map[IP]*bridgeEntry),
+		k:         k,
+		latency:   latency,
+		nics:      make(map[string]*NIC),
+		owner:     make(map[IP]*bridgeEntry),
+		classKeys: make(map[IP]uint64),
 	}
+}
+
+// classKey returns ip's shaper class key, interning the address on first
+// use.
+func (n *Network) classKey(ip IP) uint64 {
+	k, ok := n.classKeys[ip]
+	if !ok {
+		k = uint64(len(n.classKeys))
+		n.classKeys[ip] = k
+	}
+	return k
 }
 
 // Kernel returns the simulation kernel.
@@ -185,9 +193,9 @@ func (n *Network) Attach(hostName string, mbps float64) (*NIC, error) {
 		net:      n,
 		rateMbps: mbps,
 		ips:      make(map[IP]bool),
-		caps:     make(map[IP]float64),
+		shaper:   shaper{caps: make(map[uint64]float64)},
 	}
-	nic.out = sim.NewFluidServer(n.k, hostName+"/out", Mbps(mbps), nic.shaperPolicy)
+	nic.out = sim.NewFluidServer(n.k, hostName+"/out", Mbps(mbps), &nic.shaper)
 	n.nics[hostName] = nic
 	return nic, nil
 }
@@ -233,7 +241,7 @@ func (nic *NIC) AddIP(ip IP) error {
 		return fmt.Errorf("simnet: %s already bridged by %s", ip, owner.nic.HostName)
 	}
 	nic.ips[ip] = true
-	nic.net.owner[ip] = &bridgeEntry{nic: nic}
+	nic.net.owner[ip] = &bridgeEntry{nic: nic, class: nic.net.classKey(ip)}
 	return nil
 }
 
@@ -244,7 +252,7 @@ func (nic *NIC) RemoveIP(ip IP) {
 	}
 	delete(nic.ips, ip)
 	delete(nic.net.owner, ip)
-	delete(nic.caps, ip)
+	delete(nic.shaper.caps, nic.net.classKey(ip))
 }
 
 // IPs returns the number of addresses the bridge answers for.
@@ -253,12 +261,12 @@ func (nic *NIC) IPs() int { return len(nic.ips) }
 // SetShaperMode switches the shaper semantics, re-dividing rates
 // immediately.
 func (nic *NIC) SetShaperMode(m ShaperMode) {
-	nic.mode = m
-	nic.out.SetPolicy(nic.shaperPolicy)
+	nic.shaper.mode = m
+	nic.out.Redivide()
 }
 
 // ShaperMode returns the active semantics.
-func (nic *NIC) ShaperMode() ShaperMode { return nic.mode }
+func (nic *NIC) ShaperMode() ShaperMode { return nic.shaper.mode }
 
 // SetShaperCap installs an outbound bandwidth allocation (in Mbps) for
 // traffic sourced from ip — the host-OS traffic shaper of §4.2. An
@@ -267,93 +275,72 @@ func (nic *NIC) SetShaperCap(ip IP, mbps float64) {
 	if mbps < 0 {
 		panic("simnet: negative shaper allocation")
 	}
+	key := nic.net.classKey(ip)
 	if mbps == 0 {
-		delete(nic.caps, ip)
+		delete(nic.shaper.caps, key)
 	} else {
-		nic.caps[ip] = Mbps(mbps)
+		nic.shaper.caps[key] = Mbps(mbps)
 	}
 	// Re-divide rates under the new allocations immediately.
-	nic.out.SetPolicy(nic.shaperPolicy)
+	nic.out.Redivide()
 }
 
 // defaultShareBps is the weight of traffic from addresses with no
 // explicit allocation (the host's own control traffic).
 const defaultShareBps = 10 * 1e6 / 8
 
-// shaperPolicy divides the outbound link among source-IP groups
-// according to the active mode; within a group, flows share equally.
-// Grouping runs over reused scratch buffers — the policy is re-invoked
-// on every flow arrival/departure, so it must not allocate.
-func (nic *NIC) shaperPolicy(capacity float64, flows []*sim.Flow) {
-	gs := nic.groups[:0]
-	for _, f := range flows {
-		m := f.Meta.(*flowMeta)
-		idx := -1
-		for i := range gs {
-			if gs[i].ip == m.src {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			if cap(gs) > len(gs) {
-				gs = gs[:len(gs)+1]
-				gs[len(gs)-1].ip = m.src
-				gs[len(gs)-1].flows = gs[len(gs)-1].flows[:0]
-			} else {
-				gs = append(gs, ipGroup{ip: m.src})
-			}
-			idx = len(gs) - 1
-		}
-		gs[idx].flows = append(gs[idx].flows, f)
-	}
-	// Deterministic iteration.
-	for i := 1; i < len(gs); i++ {
-		for j := i; j > 0 && gs[j].ip < gs[j-1].ip; j-- {
-			gs[j], gs[j-1] = gs[j-1], gs[j]
-		}
-	}
-	nic.groups = gs
-	if nic.mode == ShareMode {
-		nic.assignShares(capacity, gs)
+// shaper is the outbound link's share policy: one class per source
+// address, flows sharing their class's rate equally. It divides the link
+// among the active source addresses only, so a re-division costs one
+// allocation lookup per sending address however many flows are queued.
+type shaper struct {
+	caps map[uint64]float64 // bytes/sec allocation per source class key
+	mode ShaperMode
+}
+
+// Classify implements sim.SharePolicy.
+func (*shaper) Classify(f *sim.Flow) (uint64, float64) {
+	return f.Meta.(*flowMeta).class, 1
+}
+
+// Divide implements sim.SharePolicy.
+func (sh *shaper) Divide(capacity float64, classes []*sim.ShareClass) {
+	if sh.mode == ShareMode {
+		sh.divideShares(capacity, classes)
 	} else {
-		nic.assignCaps(capacity, gs)
+		sh.divideCaps(capacity, classes)
 	}
 }
 
-// assignShares is work-conserving WFQ: active groups split the link in
-// proportion to their allocations.
-func (nic *NIC) assignShares(capacity float64, groups []ipGroup) {
-	var totalW float64
-	weight := func(ip IP) float64 {
-		if w, ok := nic.caps[ip]; ok {
+// divideShares is work-conserving WFQ: active addresses split the link
+// in proportion to their allocations.
+func (sh *shaper) divideShares(capacity float64, classes []*sim.ShareClass) {
+	weight := func(key uint64) float64 {
+		if w, ok := sh.caps[key]; ok {
 			return w
 		}
 		return defaultShareBps
 	}
-	for i := range groups {
-		totalW += weight(groups[i].ip)
+	var totalW float64
+	for _, c := range classes {
+		totalW += weight(c.Key)
 	}
-	for i := range groups {
-		rate := capacity * weight(groups[i].ip) / totalW
-		perFlow := rate / float64(len(groups[i].flows))
-		for _, f := range groups[i].flows {
-			f.SetRate(perFlow)
-		}
+	for _, c := range classes {
+		c.Rate = capacity * weight(c.Key) / totalW
 	}
 }
 
-// assignCaps enforces hard ceilings: capped groups get at most their
+// divideCaps enforces hard ceilings: capped addresses get at most their
 // allocation (scaled down if the ceilings exceed the link); uncapped
-// groups share the residual equally.
-func (nic *NIC) assignCaps(capacity float64, groups []ipGroup) {
+// addresses share the residual equally per flow.
+func (sh *shaper) divideCaps(capacity float64, classes []*sim.ShareClass) {
 	var cappedTotal float64
 	var uncappedFlows int
-	for i := range groups {
-		if cap, ok := nic.caps[groups[i].ip]; ok {
+	for _, c := range classes {
+		if cap, ok := sh.caps[c.Key]; ok {
 			cappedTotal += cap
 		} else {
-			uncappedFlows += len(groups[i].flows)
+			uncappedFlows += c.Flows()
 		}
 	}
 	scale := 1.0
@@ -361,30 +348,19 @@ func (nic *NIC) assignCaps(capacity float64, groups []ipGroup) {
 		scale = capacity / cappedTotal
 	}
 	residual := capacity
-	for i := range groups {
-		cap, ok := nic.caps[groups[i].ip]
-		if !ok {
-			continue
-		}
-		rate := cap * scale
-		residual -= rate
-		perFlow := rate / float64(len(groups[i].flows))
-		for _, f := range groups[i].flows {
-			f.SetRate(perFlow)
+	for _, c := range classes {
+		if cap, ok := sh.caps[c.Key]; ok {
+			c.Rate = cap * scale
+			residual -= c.Rate
 		}
 	}
-	if uncappedFlows > 0 {
-		if residual < 0 {
-			residual = 0
-		}
-		perFlow := residual / float64(uncappedFlows)
-		for i := range groups {
-			if _, ok := nic.caps[groups[i].ip]; ok {
-				continue
-			}
-			for _, f := range groups[i].flows {
-				f.SetRate(perFlow)
-			}
+	if uncappedFlows == 0 {
+		return
+	}
+	perFlow := max(residual, 0) / float64(uncappedFlows)
+	for _, c := range classes {
+		if _, ok := sh.caps[c.Key]; !ok {
+			c.Rate = perFlow * float64(c.Flows())
 		}
 	}
 }
@@ -487,7 +463,7 @@ func (n *Network) Transfer(src, dst IP, size int64, onDone func()) error {
 	srcEntry.bytes += size
 	op := n.getOp()
 	op.size, op.onDone, op.extra = size, onDone, extra
-	op.meta = flowMeta{src: src, dst: dst}
+	op.meta = flowMeta{class: srcEntry.class}
 	if size == 0 {
 		op.drain()
 		return nil
