@@ -1,70 +1,46 @@
 // Command sodabench regenerates every table and figure of the paper's
-// evaluation (HPDC 2003, §4.3 and §5) and prints them in the paper's
-// row/series format with shape checks against the published results.
+// evaluation (HPDC 2003, §4.3 and §5), plus the platform's ablations and
+// behavioural smokes, and prints each in the paper's row/series format
+// with shape checks against the published results.
 //
 // Usage:
 //
-//	sodabench                 # run everything
-//	sodabench -exp table2     # one experiment
-//	sodabench -list           # list experiment ids
+//	sodabench                        # run every experiment
+//	sodabench -exp table2            # one experiment
+//	sodabench -list                  # list experiment ids
+//	sodabench -exp failover -out BENCH_failover.json
 //
-// Experiment ids: table1 table2 table3 table4 fig3 fig4 fig5 fig6
-// download.
+// An experiment passes when every rendered shape line reads
+// shape[PASS]; the command exits 1 if any reads shape[FAIL]. -out writes
+// the selected experiment's result as JSON before that verdict, so a
+// failing run still leaves its report. It needs one -exp id, not all.
 //
-// Beyond the simulated experiments, -throughput runs a live contended
-// benchmark of the realswitch data plane: real loopback HTTP backends, a
-// real reverse proxy, concurrent keep-alive clients:
+// -seed, -duration and -replicas parameterise the entries that take
+// them. -seed seeds chaos, failover, primescale and autoscale (default
+// 1). -duration 0, the default, leaves each entry its own run length:
+// 20 s virtual for chaos and failover, 60 s virtual for autoscale.
+// -replicas sizes the primescale mass prime (default 32). The CI smokes
+// run, for example:
 //
-//	sodabench -throughput -backends 4 -conc 16 -duration 5s -out BENCH_pr2.json
+//	sodabench -exp chaos -seed 1 -duration 20s -out BENCH_chaos.json
+//	sodabench -exp primescale -replicas 8 -seed 1 -out BENCH_prime.json
+//	sodabench -exp autoscale -seed 1 -duration 60s -out BENCH_autoscale.json
 //
-// -chaos runs the fault-lifecycle smoke on the simulated testbed: a host
-// is crash-stopped mid-run and the run fails unless the failure detector
-// confirms the death, the switch ejects the dead backends, a replacement
-// node is primed, throughput recovers to ≥90% of pre-fault, and the same
-// seed reproduces the identical event sequence. -duration is virtual
-// time (the run itself takes well under a second of wall time):
+// flight and reqtrace measure what the flight recorder (gate ≤5%) and
+// the tail-sampled request tracer (gate ≤2%) cost the routing hot path;
+// they are wall-clock measurements, so their numbers vary run to run.
 //
-//	sodabench -chaos -seed 1 -duration 20s -out BENCH_chaos.json
+// -throughput is a separate mode: a live, wall-clock benchmark of the
+// realswitch data plane, with real loopback HTTP backends, a real
+// reverse proxy and concurrent keep-alive clients. -duration is its
+// measurement window (default 5 s), and -slo-p99-ms/-slo-availability
+// turn it into an SLO gate:
 //
-// -failover runs the control-plane HA smoke: the leader Master is
-// crash-stopped mid-run and the run fails unless journal replay
-// reconstructs the pre-crash state byte-for-byte, the warm standby takes
-// over within 5 virtual seconds, every daemon resynchronizes under the
-// new epoch, zero data-plane requests are dropped, and the same seed
-// reproduces the identical takeover timeline:
-//
-//	sodabench -failover -seed 1 -duration 20s -out BENCH_failover.json
-//
-// -flight measures what the black-box flight recorder costs the routing
-// hot path (gate: ≤5%), emitting BENCH_flight.json:
-//
-//	sodabench -flight -out BENCH_flight.json
-//
-// -reqtrace measures what the tail-sampled per-request trace layer costs
-// the routing hot path when attached but not retaining (gate: ≤2%),
-// emitting BENCH_trace.json:
-//
-//	sodabench -reqtrace -out BENCH_trace.json
-//
-// -primescale measures flash-crowd image priming at 1 → N replicas with
-// cooperative content-addressed chunk distribution against the
-// whole-image baseline, gating near-flat latency, ≥50% peer-sourced
-// bytes, exactly-once origin streaming, and same-seed determinism:
-//
-//	sodabench -primescale -replicas 32 -seed 1 -out BENCH_prime.json
-//
-// -autoscale runs the closed-loop scaling smoke: a seeded demand ramp
-// saturates a small reservation and the run fails unless the controller
-// scales up on the utilization signal before the SLO evaluator latches,
-// rides out a host crash injected mid-scale-up, returns the service to
-// its floor without flapping once the ramp ends, reconstructs its state
-// from journal replay byte-for-byte, and reproduces the identical
-// timeline under the same seed. -duration is virtual time (use 60s):
-//
-//	sodabench -autoscale -seed 1 -duration 60s -out BENCH_autoscale.json
+//	sodabench -throughput -backends 4 -conc 16 -duration 5s -out BENCH_slo.json
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -81,9 +57,23 @@ type experiment struct {
 	run  func() (exp.Result, error)
 }
 
-// experiments is the table behind -exp; chaos runs under seed, as
-// -chaos does.
-func experiments(seed uint64) []experiment {
+// params are the run parameters shared by every entry of the table.
+type params struct {
+	seed     uint64
+	duration time.Duration // 0 = each entry's own default
+	replicas int
+}
+
+// or returns the given -duration, or def when none was given.
+func (p params) or(def time.Duration) time.Duration {
+	if p.duration > 0 {
+		return p.duration
+	}
+	return def
+}
+
+// experiments is the table behind -exp.
+func experiments(p params) []experiment {
 	return []experiment{
 		{"table1", "machine configuration M", func() (exp.Result, error) { return exp.RunTable1() }},
 		{"table2", "service bootstrapping time (4 services × 2 hosts)", func() (exp.Result, error) { return exp.RunTable2() }},
@@ -101,109 +91,64 @@ func experiments(seed uint64) []experiment {
 		{"acct", "accounting: metered CPU shares vs scheduler proportions", func() (exp.Result, error) { return exp.RunAccounting() }},
 		{"breakdown", "supplementary: per-stage response-time breakdown", func() (exp.Result, error) { return exp.RunBreakdown() }},
 		{"sweep-inflation", "sweep: inflation factor 1.0..2.0", func() (exp.Result, error) { return exp.RunInflationSweep() }},
-		{"chaos", "fault lifecycle: host crash, detection, self-healing recovery", func() (exp.Result, error) { return exp.RunChaosWith(seed, 20*sim.Second) }},
-		{"failover", "control-plane HA: leader crash, journal replay, warm-standby takeover", func() (exp.Result, error) { return exp.RunFailover() }},
+		{"chaos", "fault lifecycle: host crash, detection, self-healing recovery", func() (exp.Result, error) { return exp.RunChaos(p.seed, p.or(20*sim.Second)) }},
+		{"failover", "control-plane HA: leader crash, journal replay, warm-standby takeover", func() (exp.Result, error) { return exp.RunFailover(p.seed, p.or(20*sim.Second)) }},
 		{"flight", "flight recorder: routing hot-path overhead bare vs recording", func() (exp.Result, error) { return exp.RunFlightOverhead() }},
 		{"reqtrace", "request tracing: routing hot-path overhead bare vs tail sampler attached", func() (exp.Result, error) { return exp.RunReqtraceOverhead() }},
-		{"primescale", "cooperative chunked priming: 1 → 32 replicas, peer-sourced bytes, near-flat latency", func() (exp.Result, error) { return exp.RunPrimeScale(32, 1) }},
-		{"autoscale", "closed-loop autoscaling: demand ramp, host crash mid-scale-up, no-flap trough", func() (exp.Result, error) { return exp.RunAutoscale() }},
+		{"primescale", fmt.Sprintf("cooperative chunked priming: 1 → %d replicas, peer-sourced bytes, near-flat latency", p.replicas), func() (exp.Result, error) { return exp.RunPrimeScale(p.replicas, p.seed) }},
+		{"autoscale", "closed-loop autoscaling: demand ramp, host crash mid-scale-up, no-flap trough", func() (exp.Result, error) { return exp.RunAutoscale(p.seed, p.or(60*sim.Second)) }},
 	}
 }
 
-func main() {
-	expFlag := flag.String("exp", "all", "experiment id to run, or 'all'")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	throughput := flag.Bool("throughput", false, "run the live proxy throughput benchmark instead of simulated experiments")
-	chaosFlag := flag.Bool("chaos", false, "run the fault-lifecycle smoke: crash a host mid-run, assert detection, recovery, and determinism")
-	failoverFlag := flag.Bool("failover", false, "run the control-plane HA smoke: crash the leader Master mid-run, assert replay fidelity, takeover MTTR, and zero dropped requests")
-	flightFlag := flag.Bool("flight", false, "run the flight-recorder overhead benchmark: routing hot path bare vs recording enabled")
-	reqtraceFlag := flag.Bool("reqtrace", false, "run the request-trace overhead benchmark: routing hot path bare vs tail sampler attached (unsampled)")
-	primeFlag := flag.Bool("primescale", false, "run the priming-at-scale smoke: chunked cooperative mass prime vs whole-image baseline")
-	autoscaleFlag := flag.Bool("autoscale", false, "run the closed-loop scaling smoke: demand ramp, host crash mid-scale-up, no-flap trough, journal replay fidelity")
-	replicas := flag.Int("replicas", 32, "primescale: replica host count for the mass prime")
-	flightOps := flag.Int("flight-ops", 100000, "flight: routed requests per trial")
-	flightTrials := flag.Int("flight-trials", 5, "flight: trials (minimum ns/op taken)")
-	seed := flag.Uint64("seed", 1, "seed of -chaos and -exp chaos (fault schedule), -failover, -autoscale and -primescale")
-	backends := flag.Int("backends", 4, "throughput: number of live backends")
-	conc := flag.Int("conc", 16, "throughput: concurrent clients")
-	duration := flag.Duration("duration", 5*time.Second, "throughput: wall-clock measurement window; chaos: virtual run length (use 20s)")
-	idlePerHost := flag.Int("idle-per-host", 0, "throughput: proxy transport MaxIdleConnsPerHost (0 = tuned default)")
-	out := flag.String("out", "", "throughput: write the JSON report to this file")
-	sloP99Ms := flag.Float64("slo-p99-ms", 0, "throughput: fail unless p99 latency is at or under this target (ms)")
-	sloAvail := flag.Float64("slo-availability", 0, "throughput: fail unless routed fraction meets this target (e.g. 0.999)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
 
-	if *flightFlag {
-		os.Exit(runFlightCmd(flightConfig{
-			ops:    *flightOps,
-			trials: *flightTrials,
-			out:    *out,
-		}))
+// run is the command: it parses args, runs the selected experiments (or
+// the throughput benchmark) and returns the exit code: 0 when every
+// shape check passes, 1 on a failed check or run error, 2 on bad usage.
+func run(args []string) int {
+	fs := flag.NewFlagSet("sodabench", flag.ContinueOnError)
+	expID := fs.String("exp", "all", "experiment id to run, or 'all'")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	throughput := fs.Bool("throughput", false, "run the live proxy throughput benchmark instead of the simulated experiments")
+	seed := fs.Uint64("seed", 1, "seed of chaos, failover, primescale and autoscale")
+	duration := fs.Duration("duration", 0, "run length; 0 keeps each run's default: chaos and failover 20s virtual, autoscale 60s virtual, -throughput 5s wall")
+	replicas := fs.Int("replicas", 32, "primescale: replica host count for the mass prime")
+	out := fs.String("out", "", "write the selected experiment's (or -throughput's) JSON report to this file")
+	backends := fs.Int("backends", 4, "throughput: number of live backends")
+	conc := fs.Int("conc", 16, "throughput: concurrent clients")
+	sloP99Ms := fs.Float64("slo-p99-ms", 0, "throughput: fail unless p99 latency is at or under this target (ms)")
+	sloAvail := fs.Float64("slo-availability", 0, "throughput: fail unless routed fraction meets this target (e.g. 0.999)")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-
-	if *reqtraceFlag {
-		os.Exit(runReqtraceCmd(reqtraceConfig{
-			ops:    *flightOps,
-			trials: *flightTrials,
-			out:    *out,
-		}))
-	}
-
-	if *primeFlag {
-		os.Exit(runPrimeScaleCmd(primeScaleConfig{
-			replicas: *replicas,
-			seed:     *seed,
-			out:      *out,
-		}))
-	}
-
-	if *autoscaleFlag {
-		os.Exit(runAutoscaleCmd(autoscaleConfig{
-			seed:     *seed,
-			duration: *duration,
-			out:      *out,
-		}))
-	}
-
-	if *failoverFlag {
-		os.Exit(runFailoverCmd(failoverConfig{
-			seed:     *seed,
-			duration: *duration,
-			out:      *out,
-		}))
-	}
-
-	if *chaosFlag {
-		os.Exit(runChaosCmd(chaosConfig{
-			seed:     *seed,
-			duration: *duration,
-			out:      *out,
-		}))
-	}
+	p := params{seed: *seed, duration: *duration, replicas: *replicas}
 
 	if *throughput {
-		os.Exit(runThroughputCmd(throughputConfig{
+		return runThroughputCmd(throughputConfig{
 			backends:        *backends,
 			conc:            *conc,
-			duration:        *duration,
-			idlePerHost:     *idlePerHost,
+			duration:        p.or(5 * time.Second),
 			out:             *out,
 			sloP99Ms:        *sloP99Ms,
 			sloAvailability: *sloAvail,
-		}))
+		})
 	}
 
 	if *list {
-		for _, e := range experiments(*seed) {
+		for _, e := range experiments(p) {
 			fmt.Printf("%-9s %s\n", e.id, e.what)
 		}
-		return
+		return 0
+	}
+	if *out != "" && *expID == "all" {
+		fmt.Fprintln(os.Stderr, "-out writes one experiment's report; select it with -exp <id>")
+		return 2
 	}
 
 	ran := 0
 	failed := 0
-	for _, e := range experiments(*seed) {
-		if *expFlag != "all" && *expFlag != e.id {
+	for _, e := range experiments(p) {
+		if *expID != "all" && *expID != e.id {
 			continue
 		}
 		ran++
@@ -214,18 +159,38 @@ func main() {
 			failed++
 			continue
 		}
-		out := res.Render()
-		fmt.Printf("=== %s (%.2fs wall) ===\n%s\n", e.id, time.Since(start).Seconds(), out)
-		if strings.Contains(out, "shape[FAIL]") {
+		text := res.Render()
+		fmt.Printf("=== %s (%.2fs wall) ===\n%s\n", e.id, time.Since(start).Seconds(), text)
+		if *out != "" {
+			if err := writeReport(*out, res); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
+				return 1
+			}
+		}
+		if strings.Contains(text, "shape[FAIL]") {
 			failed++
 		}
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *expFlag)
-		os.Exit(2)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *expID)
+		return 2
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "%d experiment(s) failed shape checks\n", failed)
-		os.Exit(1)
+		return 1
 	}
+	return 0
+}
+
+// writeReport writes v as indented JSON to path.
+func writeReport(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
+	return nil
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,11 +21,10 @@ import (
 // throughputConfig parameterises the live-proxy contended-throughput
 // benchmark (-throughput).
 type throughputConfig struct {
-	backends    int
-	conc        int
-	duration    time.Duration
-	idlePerHost int
-	out         string
+	backends int
+	conc     int
+	duration time.Duration
+	out      string
 	// sloP99Ms and sloAvailability, when set, turn the run into an SLO
 	// gate: the command exits non-zero if the measured p99 latency or
 	// the routed fraction misses the objective.
@@ -43,8 +41,8 @@ type sloReport struct {
 	Detail             string  `json:"detail,omitempty"`
 }
 
-// throughputReport is the JSON the benchmark emits (BENCH_pr2.json keeps
-// a checked-in copy for the PR 2 acceptance numbers).
+// throughputReport is the JSON the benchmark emits with -out; the CI SLO
+// gate uploads it as BENCH_slo.json.
 type throughputReport struct {
 	Backends   int     `json:"backends"`
 	Conc       int     `json:"concurrency"`
@@ -118,9 +116,6 @@ func runThroughput(cfg throughputConfig) (throughputReport, error) {
 		return rep, err
 	}
 	tc := realswitch.DefaultTransportConfig()
-	if cfg.idlePerHost > 0 {
-		tc.MaxIdleConnsPerHost = cfg.idlePerHost
-	}
 	proxy := realswitch.NewWithTransport(conf, tc)
 	front := httptest.NewServer(proxy)
 	defer front.Close()
@@ -204,16 +199,10 @@ func runThroughputCmd(cfg throughputConfig) int {
 	fmt.Printf("throughput: %d backends, %d clients, %.1fs: %.0f req/s (p50 %.2fms p95 %.2fms p99 %.2fms, retries %d, dropped %d)\n",
 		rep.Backends, rep.Conc, rep.DurationS, rep.ReqPerSec, rep.P50Ms, rep.P95Ms, rep.P99Ms, rep.Retried, rep.Dropped)
 	if cfg.out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
+		if err := writeReport(cfg.out, rep); err != nil {
 			fmt.Fprintf(os.Stderr, "throughput: %v\n", err)
 			return 1
 		}
-		if err := os.WriteFile(cfg.out, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "throughput: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", cfg.out)
 	}
 	if rep.SLO != nil {
 		if !rep.SLO.Pass {

@@ -36,7 +36,6 @@ func main() {
 	hosts := flag.Int("hosts", 2, "number of HUP hosts (1 = seattle only, 2 = paper testbed, >2 adds tacoma clones)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	configPath := flag.String("config", "", "JSON scenario file describing the HUP (overrides -hosts/-seed)")
-	imageCache := flag.Bool("image-cache", false, "enable daemon-side master-image caching")
 	p2p := flag.Bool("p2p", false, "enable cooperative chunked image distribution (chunk stores + Master tracker; adds /images)")
 	chaosFlag := flag.Bool("chaos", false, "enable self-healing and attach the fault injector (adds /faults)")
 	ha := flag.Bool("ha", false, "enable control-plane HA: state journaling and a warm-standby Master (/healthz reports role, epoch, and journal lag)")
@@ -84,11 +83,6 @@ func main() {
 	tb, err := hup.New(cfg)
 	if err != nil {
 		fatal("building HUP: %v", err)
-	}
-	if *imageCache {
-		for _, d := range tb.Daemons {
-			d.EnableImageCache()
-		}
 	}
 	if *p2p {
 		tb.EnableChunkDistribution(soda.ChunkDistConfig{})

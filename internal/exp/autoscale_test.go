@@ -1,13 +1,18 @@
 package exp
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/sim"
+)
 
 func TestAutoscaleExperimentShape(t *testing.T) {
-	res, err := RunAutoscale()
+	res, err := RunAutoscale(1, 60*sim.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Shape(); err != nil {
-		t.Fatalf("%v\n%s", err, res.Render())
+	if out := res.Render(); strings.Contains(out, "FAIL") {
+		t.Fatalf("shape check failed:\n%s", out)
 	}
 }

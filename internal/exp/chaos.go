@@ -112,11 +112,11 @@ func chaosDetector() soda.HealthConfig {
 	}
 }
 
-// RunChaosWith executes the fault-lifecycle experiment twice with the
-// same seed — the second run only to verify the fault schedule and
-// recovery event sequence are bit-identical — and returns the first
-// run's measurements.
-func RunChaosWith(seed uint64, total sim.Duration) (*ChaosResult, error) {
+// RunChaos executes the fault-lifecycle experiment twice with the same
+// seed — the second run only to verify the fault schedule and recovery
+// event sequence are bit-identical — and returns the first run's
+// measurements. sodabench runs it for 20 virtual seconds.
+func RunChaos(seed uint64, total sim.Duration) (*ChaosResult, error) {
 	if total < 3*sim.Second {
 		return nil, fmt.Errorf("chaos: run of %v too short to fit detection and recovery", total)
 	}
@@ -347,55 +347,6 @@ func chaosRun(seed uint64, total sim.Duration) (*ChaosResult, error) {
 // Title implements Result.
 func (*ChaosResult) Title() string {
 	return "Fault lifecycle: host crash mid-run — detection, self-healing recovery, throughput cost"
-}
-
-// Shape evaluates the acceptance criteria; the error lists every miss.
-func (r *ChaosResult) Shape() error {
-	var misses []string
-	if r.DetectS < 0 {
-		misses = append(misses, "host death never detected")
-	}
-	if r.Recoveries < 1 {
-		misses = append(misses, "no successful recovery")
-	}
-	if r.Ejected < 1 {
-		misses = append(misses, "dead backend never ejected")
-	}
-	if r.DeadRouted != 0 {
-		misses = append(misses, fmt.Sprintf("%d request(s) served by dead backends after detection", r.DeadRouted))
-	}
-	if r.RecoveryRatio < 0.9 {
-		misses = append(misses, fmt.Sprintf("post-fault throughput %.2f of pre-fault (< 0.90)", r.RecoveryRatio))
-	}
-	if r.FinalCapacity < r.WantCapacity {
-		misses = append(misses, fmt.Sprintf("capacity %d < reserved %d", r.FinalCapacity, r.WantCapacity))
-	}
-	if r.Incidents < 1 {
-		misses = append(misses, "flight recorder captured no incident bundle")
-	}
-	if !r.IncidentSpansRecovery {
-		misses = append(misses, "no host-dead bundle spans detection through recovery completion")
-	}
-	if r.SLOIncidents < 1 {
-		misses = append(misses, "crash latency burst raised no SLO-violation incident")
-	}
-	if !r.sloFromCrash() {
-		misses = append(misses, fmt.Sprintf("SLO violations not caused by the crash: %d before it, first %.2fs after it (want 0 before, first within %.2fs)",
-			r.SLOBeforeCrash, r.SLOFirstS, r.SLOWindowS))
-	}
-	if r.SLOTraceCount < 1 {
-		misses = append(misses, "slo-violation bundle embeds no retained slow request trace")
-	}
-	if !r.SLOTraceStagesOK {
-		misses = append(misses, "embedded slow traces lack per-stage latency attribution")
-	}
-	if !r.Deterministic {
-		misses = append(misses, "same seed did not reproduce the event sequence and incident bundles")
-	}
-	if len(misses) > 0 {
-		return fmt.Errorf("chaos: %s", strings.Join(misses, "; "))
-	}
-	return nil
 }
 
 // sloFromCrash reports whether the crash, not the load, raised the SLO

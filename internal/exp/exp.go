@@ -19,6 +19,7 @@ type Result interface {
 	// Title names the table/figure being reproduced.
 	Title() string
 	// Render prints the reproduction in the paper's row/series format.
+	// Its shape[PASS|FAIL] lines are the experiment's only verdict.
 	Render() string
 }
 

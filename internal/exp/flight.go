@@ -174,11 +174,7 @@ func flightTrial(withFlight bool, ops int) (float64, uint64, error) {
 // RunFlightOverhead measures the routing hot path bare vs
 // flight-enabled, minimum of 5 trials of 100k requests each.
 func RunFlightOverhead() (*FlightOverheadResult, error) {
-	return RunFlightOverheadWith(100_000, 5)
-}
-
-// RunFlightOverheadWith is RunFlightOverhead with explicit scale.
-func RunFlightOverheadWith(ops, trials int) (*FlightOverheadResult, error) {
+	const ops, trials = 100_000, 5
 	res := &FlightOverheadResult{Ops: ops, Trials: trials}
 	// Interleave bare and flight trials so process warm-up (allocator,
 	// code cache) biases neither variant; take each side's minimum.
@@ -217,21 +213,6 @@ func RunFlightOverheadWith(ops, trials int) (*FlightOverheadResult, error) {
 // Title implements Result.
 func (*FlightOverheadResult) Title() string {
 	return "Flight recorder overhead: routing hot path bare vs black-box recording enabled"
-}
-
-// Shape gates the flight recorder's cost: ≤5% on the routing hot path.
-func (r *FlightOverheadResult) Shape() error {
-	var misses []string
-	if r.OverheadPct > 5 {
-		misses = append(misses, fmt.Sprintf("flight overhead %.1f%% > 5%% on the routing hot path", r.OverheadPct))
-	}
-	if r.RingRecords == 0 {
-		misses = append(misses, "recorder captured nothing during the flight run (not wired?)")
-	}
-	if len(misses) > 0 {
-		return fmt.Errorf("flight: %s", strings.Join(misses, "; "))
-	}
-	return nil
 }
 
 // Render implements Result.

@@ -78,27 +78,6 @@ func (r *PrimeScaleResult) Render() string {
 	return out
 }
 
-// Shape returns the first violated acceptance criterion, or nil.
-func (r *PrimeScaleResult) Shape() error {
-	switch {
-	case r.MassSec > 3*r.SingleSec:
-		return fmt.Errorf("mass prime %.2fs exceeds 3x single-replica %.2fs", r.MassSec, r.SingleSec)
-	case r.PeerBytes <= 0:
-		return fmt.Errorf("no bytes sourced from peers")
-	case r.PeerFraction < 0.5:
-		return fmt.Errorf("peer fraction %.2f below 0.5", r.PeerFraction)
-	case r.P95NodePrimeSec > p95Allowance*r.SingleNodePrimeSec:
-		return fmt.Errorf("p95 node prime %.2fs exceeds %gx single-replica %.2fs", r.P95NodePrimeSec, p95Allowance, r.SingleNodePrimeSec)
-	case r.OriginChunkFetches != r.ChunkCount:
-		return fmt.Errorf("origin streamed %d chunk fetches for %d chunks (dedup broken)", r.OriginChunkFetches, r.ChunkCount)
-	case r.BaselineSec < r.MassSec:
-		return fmt.Errorf("baseline %.2fs beat chunked %.2fs", r.BaselineSec, r.MassSec)
-	case !r.Deterministic:
-		return fmt.Errorf("same-seed rerun diverged")
-	}
-	return nil
-}
-
 // primeScaleImage is the primed service image: the paper's S_I web
 // content service (29 MB → a few dozen 4 MiB-class chunks).
 func primeScaleImage() string { return "web-1.0" }

@@ -175,3 +175,34 @@ func TestShapeCheckFormatting(t *testing.T) {
 		t.Fatal("shapeCheck labels wrong")
 	}
 }
+
+func TestAutoscaleRenderFailsWhenNothingServed(t *testing.T) {
+	good := &AutoscaleResult{
+		ScaleUpAtS: 1, MaxCapacity: 3, FinalCapacity: 1, Ups: 2, Downs: 2,
+		FaultLog: []string{"crash", "restore"}, Issued: 100, Completed: 100,
+		DigestMatch: true, Deterministic: true,
+	}
+	if out := good.Render(); strings.Contains(out, "FAIL") {
+		t.Fatalf("healthy autoscale result failed:\n%s", out)
+	}
+	bad := *good
+	bad.Completed, bad.Dropped = 0, 100
+	if !strings.Contains(bad.Render(), "shape[FAIL]") {
+		t.Fatal("a ramp that completed nothing and dropped every request passed")
+	}
+}
+
+func TestReqtraceRenderFailsWhenNothingRetained(t *testing.T) {
+	good := &ReqtraceOverheadResult{
+		Ops: 100, Trials: 1, BareNs: 100, TracedNs: 101, OverheadPct: 1,
+		Sampled: 100, Retained: 10, DeterministicRetention: true,
+	}
+	if out := good.Render(); strings.Contains(out, "FAIL") {
+		t.Fatalf("healthy reqtrace result failed:\n%s", out)
+	}
+	bad := *good
+	bad.Retained = 0
+	if !strings.Contains(bad.Render(), "shape[FAIL]") {
+		t.Fatal("a retain-all pass that kept nothing passed")
+	}
+}

@@ -145,11 +145,11 @@ func (m *Master) AutoscaleTick() {
 				continue
 			}
 			a.lastBlock = dec.Reason
+			a.st.Blocked++
 			m.journal("autoscale-blocked", jAutoscale{
 				Service: name, Dir: "blocked", From: sig.Capacity,
 				To: dec.Target, Reason: dec.Reason, AtNs: int64(now),
 			})
-			a.st.Blocked++
 			m.autoBlockedCtr.Inc()
 			m.emit(EventAutoscale, name, "", "blocked: "+dec.Reason)
 			m.flog.Warn("autoscale blocked",
@@ -188,21 +188,21 @@ func (m *Master) autoscaleSignals(svc *Service, a *autoscaler, now sim.Time) aut
 	return sig
 }
 
-// autoscaleAct commits one scale decision: journal it (pending, with
-// the absolute target), then drive the resize. The journal append
+// autoscaleAct commits one scale decision: mark it pending with the
+// absolute target, journal it, then drive the resize. The journal append
 // happens strictly before any daemon command, so a crash in between
 // leaves a durable pending record the next leader re-issues.
 func (m *Master) autoscaleAct(svc *Service, a *autoscaler, dec autoscale.Decision, sig autoscale.Signals) {
 	name := svc.Spec.Name
 	dir := dec.Dir.String()
 	from := sig.Capacity
+	a.st.Pending = true
+	a.st.PendingTarget = dec.Target
+	a.st.PendingDir = dir
 	m.journal("autoscale-decision", jAutoscale{
 		Service: name, Dir: dir, From: from, To: dec.Target,
 		Reason: dec.Reason, AtNs: int64(sig.At),
 	})
-	a.st.Pending = true
-	a.st.PendingTarget = dec.Target
-	a.st.PendingDir = dir
 	sp := m.tracer.StartRoot("autoscale.resize",
 		telemetry.L("service", name), telemetry.L("direction", dir))
 	sp.Annotate("from", itoa(from))
@@ -225,9 +225,9 @@ func (m *Master) autoscaleAct(svc *Service, a *autoscaler, dec autoscale.Decisio
 	})
 }
 
-// autoscaleDone seals one resize: journal the completion, clear the
-// pending marker, stamp the direction's cooldown clock, and count the
-// move. A failed resize still stamps the clock — the cooldown doubles
+// autoscaleDone seals one resize: clear the pending marker, stamp the
+// direction's cooldown clock, count the move, then journal the
+// completion. A failed resize still stamps the clock — the cooldown doubles
 // as retry backoff — and counts as blocked. Completion callbacks from
 // a crashed or deposed leader are discarded: the journal holds the
 // pending decision and the new leader re-issues it itself.
@@ -243,9 +243,6 @@ func (m *Master) autoscaleDone(name, dir string, target int, ok bool, detail str
 		return // torn down while the resize was in flight
 	}
 	now := m.net.Kernel().Now()
-	m.journal("autoscale-done", jAutoscale{
-		Service: name, Dir: dir, To: target, AtNs: int64(now), OK: ok,
-	})
 	a.st.Pending = false
 	a.st.PendingTarget = 0
 	a.st.PendingDir = ""
@@ -254,23 +251,28 @@ func (m *Master) autoscaleDone(name, dir string, target int, ok bool, detail str
 	} else {
 		a.st.LastDown = now
 	}
-	if ok {
-		if dir == "up" {
-			a.st.Ups++
-			m.autoUpCtr.Inc()
-		} else {
-			a.st.Downs++
-			m.autoDownCtr.Inc()
-		}
-		m.emit(EventAutoscale, name, "", fmt.Sprintf("%s to %d complete", dir, target))
-	} else {
+	switch {
+	case !ok:
 		a.st.Blocked++
 		m.autoBlockedCtr.Inc()
-		m.emit(EventAutoscale, name, "", fmt.Sprintf("%s to %d failed: %s", dir, target, detail))
-		m.flog.Warn("autoscale resize failed",
-			telemetry.L("service", name),
-			telemetry.L("error", detail))
+	case dir == "up":
+		a.st.Ups++
+		m.autoUpCtr.Inc()
+	default:
+		a.st.Downs++
+		m.autoDownCtr.Inc()
 	}
+	m.journal("autoscale-done", jAutoscale{
+		Service: name, Dir: dir, To: target, AtNs: int64(now), OK: ok,
+	})
+	if ok {
+		m.emit(EventAutoscale, name, "", fmt.Sprintf("%s to %d complete", dir, target))
+		return
+	}
+	m.emit(EventAutoscale, name, "", fmt.Sprintf("%s to %d failed: %s", dir, target, detail))
+	m.flog.Warn("autoscale resize failed",
+		telemetry.L("service", name),
+		telemetry.L("error", detail))
 }
 
 // reissuePendingResizes re-drives every journaled-but-incomplete resize

@@ -99,11 +99,11 @@ type chunkWaiter struct {
 	onErr  func(error)
 }
 
-// EnableChunkStore gives the daemon a content-addressed chunk store:
-// downloaded images are retained as chunks + an assembled master, repeat
-// primes are local hits, and — once a coordinator is attached — the
-// store doubles as a serve path for peers. Idempotent.
-func (d *Daemon) EnableChunkStore() {
+// enableChunkStore gives the daemon a content-addressed chunk store:
+// fetched images are retained as chunks + an assembled master, repeat
+// primes are local hits, and the store doubles as a serve path for
+// peers. Idempotent.
+func (d *Daemon) enableChunkStore() {
 	if d.store == nil {
 		d.store = &chunkStore{
 			chunks: make(map[uint64]int64),

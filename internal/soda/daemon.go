@@ -91,10 +91,9 @@ type Daemon struct {
 	// the live routing objects a new leader re-adopts at failover.
 	switches map[string]*HostedSwitch
 
-	// store is the content-addressed chunk cache (superseding the old
-	// whole-image master cache); nil until EnableChunkStore (which
-	// EnableImageCache aliases). coord/coordIdx point at the tracker
-	// once Master.EnableChunkDistribution attaches it.
+	// store is the content-addressed chunk cache; nil until
+	// Master.EnableChunkDistribution gives the daemon one and points
+	// coord/coordIdx at the tracker.
 	store    *chunkStore
 	coord    *Master
 	coordIdx int
@@ -303,14 +302,6 @@ func (d *Daemon) SetFlightLogger(l *flight.Logger) {
 // Mode returns the daemon's address mode.
 func (d *Daemon) Mode() AddressMode { return d.mode }
 
-// EnableImageCache turns on image caching: the first prime of an image
-// downloads and pins it on disk; later primes clone the cached copy,
-// skipping the transfer entirely. An extension beyond §4.3's
-// always-download behaviour; disabled by default so the reproduction
-// matches the paper. Today this is an alias for EnableChunkStore — the
-// content-addressed store subsumes the whole-image cache.
-func (d *Daemon) EnableImageCache() { d.EnableChunkStore() }
-
 // CachedImages returns how many assembled master images are pinned.
 func (d *Daemon) CachedImages() int {
 	if d.store == nil {
@@ -336,10 +327,10 @@ func (d *Daemon) DropImageCache() {
 	}
 }
 
-// fetchImage produces a private clone of the named image: a local clone
-// when the store holds it assembled; a tracker-planned multi-source
-// chunk fetch when chunk distribution is on; otherwise a whole-image
-// HTTP download (populating the store if enabled). fanOut is how many
+// fetchImage produces a private clone of the named image. With chunk
+// distribution on, that is a local clone when the store holds it
+// assembled, else a tracker-planned multi-source chunk fetch; otherwise
+// it is the paper's whole-image HTTP download (§4.3). fanOut is how many
 // sibling primes were fanned out with this one — it pre-sizes download
 // deadlines for repository-link contention. parent is the prime's
 // image.download span.
@@ -359,26 +350,10 @@ func (d *Daemon) fetchImage(repo *image.Repository, name string, fanOut int, par
 			})
 			return
 		}
-	}
-	if d.store != nil && d.coord != nil {
 		d.fetchChunked(repo, name, fanOut, parent, onDone, onErr)
 		return
 	}
-	d.downloadWithRetry(repo, name, fanOut, func(img *image.Image) {
-		if d.store != nil {
-			sizeMB := img.SizeMB()
-			if err := d.host.UseDisk(sizeMB); err == nil {
-				master := img.Clone()
-				man := image.BuildManifest(master, 0)
-				d.store.images[name] = &storedImage{img: master, manifest: man, diskMB: sizeMB}
-				for i := range man.Chunks {
-					d.store.storeChunk(man.Chunks[i].ID, man.Chunks[i].Bytes)
-				}
-			}
-			// Cache-fill failure (disk full) is not a priming failure.
-		}
-		onDone(img)
-	}, onErr)
+	d.downloadWithRetry(repo, name, fanOut, onDone, onErr)
 }
 
 // SetDownloadRetry replaces the download retry tuning.
@@ -616,7 +591,7 @@ func (d *Daemon) Prime(req PrimeRequest, onDone func(NodeInfo), onErr func(error
 	}
 
 	// 4. Obtain the service image: download from the ASP's repository
-	// (HTTP/1.1), or clone the cached master when caching is on.
+	// (HTTP/1.1), or fetch it as chunks when chunk distribution is on.
 	k := d.net.Kernel()
 	downloadStart := k.Now()
 	download := req.Span.StartChild("image.download", telemetry.L("image", req.ImageName))

@@ -302,14 +302,23 @@ func (c *Cluster) takeover() {
 		c.epochGauge.Set(float64(newEpoch))
 	}
 
+	// Rebuild before journaling: a snapshot taken at the epoch record
+	// must capture the reconstructed state, not the standby's empty one.
+	lost := c.rebuild(nl, st)
 	nl.journal("epoch", jEpoch{Epoch: newEpoch})
 	nl.emit(EventMasterDown, "", "",
 		fmt.Sprintf("leader silent %v, standby taking over at epoch %d", silence, newEpoch))
 	nl.flog.Error("leader presumed dead",
 		telemetry.L("silence", silence.String()),
 		telemetry.L("epoch", itoa(int(newEpoch))))
-
-	c.rebuild(nl, st)
+	for _, name := range lost {
+		nl.Rejected++
+		nl.rejectedCtr.Inc()
+		nl.journal("service-rejected", jName{Service: name})
+		nl.emit(EventRejected, name, "", "lost mid-priming by control-plane failover")
+		nl.flog.Warn("mid-priming service rejected at failover",
+			telemetry.L("service", name))
+	}
 
 	// The failure detector moves with its state, but every non-dead
 	// host's deadline restarts now: the takeover window must not be
@@ -339,10 +348,10 @@ func (c *Cluster) takeover() {
 
 // rebuild turns the replayed logical state into live service records on
 // the new leader. Guests and switches stay unfilled until the daemons'
-// resynchronization reports arrive; services caught mid-priming by the
-// crash are rejected (their half-primed nodes are torn down as orphans
-// during resynchronization).
-func (c *Cluster) rebuild(nl *Master, st *masterState) {
+// resynchronization reports arrive. Services caught mid-priming by the
+// crash are left out and returned, for the caller to reject (their
+// half-primed nodes are torn down as orphans during resynchronization).
+func (c *Cluster) rebuild(nl *Master, st *masterState) (lost []string) {
 	nl.Admitted = st.Admitted
 	nl.Rejected = st.Rejected
 	nl.settled = make(map[string]accounting.Usage, len(st.Settled))
@@ -353,12 +362,7 @@ func (c *Cluster) rebuild(nl *Master, st *masterState) {
 	for i := range st.Services {
 		js := &st.Services[i]
 		if ServiceState(js.State) != Active {
-			nl.Rejected++
-			nl.rejectedCtr.Inc()
-			nl.journal("service-rejected", jName{Service: js.Name})
-			nl.emit(EventRejected, js.Name, "", "lost mid-priming by control-plane failover")
-			nl.flog.Warn("mid-priming service rejected at failover",
-				telemetry.L("service", js.Name))
+			lost = append(lost, js.Name)
 			continue
 		}
 		spec := js.logicalSpec()
@@ -389,8 +393,8 @@ func (c *Cluster) rebuild(nl *Master, st *masterState) {
 	// Rebuild the autoscale controllers: the policy replays inside each
 	// service's journaled spec, the runtime state (cooldown clocks, move
 	// counters, pending resize) from the autoscale-* records. Entries for
-	// services rejected above are dropped — the service-rejected record
-	// just journaled removes them from the replayed form too.
+	// services left out above are dropped — the service-rejected record
+	// the caller journals removes them from the replayed form too.
 	nl.autos = make(map[string]*autoscaler)
 	for _, ja := range st.Autoscalers {
 		svc, ok := nl.services[ja.Service]
@@ -400,6 +404,7 @@ func (c *Cluster) rebuild(nl *Master, st *masterState) {
 		nl.autos[ja.Service] = restoredAutoscaler(svc.Spec.Autoscale, ja)
 	}
 	nl.activeServices.Set(float64(len(nl.services)))
+	return lost
 }
 
 // orderHomeFirst returns the journaled nodes with the switch's home node

@@ -1,10 +1,14 @@
 package soda_test
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/accounting"
+	"repro/internal/autoscale"
 	"repro/internal/hostos"
 	"repro/internal/hup"
+	"repro/internal/image"
 	"repro/internal/sim"
 	"repro/internal/soda"
 )
@@ -284,5 +288,174 @@ func TestHeartbeatJitterDeterministic(t *testing.T) {
 	}
 	if f1.MTTR != f2.MTTR || f1.At != f2.At {
 		t.Fatalf("same-seed failover timelines differ: %+v vs %+v", f1, f2)
+	}
+}
+
+// TestJournalReplayMatchesLiveUnderCompaction runs a seeded create /
+// resize / teardown stream, with autoscale ticks, while the journal
+// compacts at several cadences, down to a snapshot after every record. It
+// checks after every operation that replaying the journal reconstructs
+// the live state. A record journaled before the mutation it describes
+// lets a snapshot triggered by that record capture the state without it,
+// and replay then loses the mutation.
+func TestJournalReplayMatchesLiveUnderCompaction(t *testing.T) {
+	for _, every := range []int{1, 2, 3, 5, 64} {
+		t.Run(fmt.Sprintf("SnapshotEvery=%d", every), func(t *testing.T) {
+			compactionStream(t, every, 107)
+		})
+	}
+}
+
+// compactionStream is one run of the compaction replay check.
+func compactionStream(t *testing.T, snapshotEvery int, seed uint64) {
+	hosts := make([]hostos.Spec, 8)
+	for i := range hosts {
+		s := hostos.Seattle()
+		if i%2 == 1 {
+			s = hostos.Tacoma()
+		}
+		s.Name = fmt.Sprintf("host-%02d", i)
+		hosts[i] = s
+	}
+	tb, err := hup.New(hup.Config{Hosts: hosts, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Agent.RegisterASP("asp", "secret"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.EnableHA(soda.HAConfig{SnapshotEvery: snapshotEvery}); err != nil {
+		t.Fatal(err)
+	}
+	tb.EnableChunkDistribution(soda.ChunkDistConfig{})
+	tb.EnableAccounting(accounting.Options{})
+	var imgs []*image.Image
+	for i, datasetMB := range []int{0, 2} {
+		img := hup.WebContentImage(fmt.Sprintf("img-%d", i), datasetMB)
+		if err := tb.Publish(img); err != nil {
+			t.Fatal(err)
+		}
+		imgs = append(imgs, img)
+	}
+
+	rng := sim.NewRNG(seed)
+	m := soda.MachineConfig{CPUMHz: 64, MemoryMB: 64, DiskMB: 128, BandwidthMbps: 1}
+	var live []string           // alive services, in creation order
+	manual := map[string]bool{} // alive services without an autoscale policy
+	next := 0
+	for i := 0; i < 150; i++ {
+		var op string
+		var err error
+		switch r := rng.Float64(); {
+		case i%10 == 9:
+			op = "autoscale tick"
+			tb.Master.AutoscaleTick()
+			for w := 0; autoscalePending(tb.Master) && w < 600; w++ {
+				tb.K.RunFor(100 * sim.Millisecond)
+			}
+		case len(live) < 3 || (len(live) < 10 && r < 0.45):
+			name := fmt.Sprintf("svc-%03d", next)
+			img := imgs[rng.Intn(len(imgs))]
+			spec := soda.ServiceSpec{
+				Name: name, ImageName: img.Name, Repository: hup.RepoIP,
+				Requirement:  soda.Requirement{N: 1 + rng.Intn(3), M: m},
+				GuestProfile: img.SystemServices,
+			}
+			if next%3 == 0 {
+				spec.Requirement.N = 3
+				spec.Autoscale = autoscale.Policy{
+					Min: 1, Max: 3,
+					TargetUtilization: 0.5, HighWater: 0.7, LowWater: 0.2,
+					MaxStep: 1, UpCooldown: 2 * sim.Second, DownCooldown: 5 * sim.Second,
+				}
+			}
+			next++
+			op = "create " + name
+			if _, err = tb.CreateService("secret", spec); err == nil {
+				live = append(live, name)
+				manual[name] = !spec.Autoscale.Enabled()
+			}
+		case r < 0.75:
+			name := live[rng.Intn(len(live))]
+			if !manual[name] {
+				op = "run " + name
+				tb.K.RunFor(sim.Second)
+				break
+			}
+			n := 1 + rng.Intn(3)
+			op = fmt.Sprintf("resize %s to %d", name, n)
+			_, err = tb.Resize("secret", name, n)
+		default:
+			j := rng.Intn(len(live))
+			op = "teardown " + live[j]
+			if err = tb.Teardown("secret", live[j]); err == nil {
+				delete(manual, live[j])
+				live = append(live[:j], live[j+1:]...)
+			}
+		}
+		if err != nil {
+			t.Fatalf("op %d (%s): %v", i, op, err)
+		}
+		liveDigest := tb.Master.StateDigest()
+		replayed, rep := soda.ReplayDigest(tb.Cluster.Journal().Bytes())
+		if rep.Truncated {
+			t.Fatalf("op %d (%s): clean journal reported truncated: %s", i, op, rep.Reason)
+		}
+		if replayed != liveDigest {
+			t.Fatalf("op %d (%s): replayed digest %.16s != live digest %.16s after %d record(s)",
+				i, op, replayed, liveDigest, rep.Records)
+		}
+	}
+}
+
+// autoscalePending reports whether any autoscaler has a resize in flight.
+func autoscalePending(m *soda.Master) bool {
+	for _, v := range m.AutoscaleReport() {
+		if v.Pending {
+			return true
+		}
+	}
+	return false
+}
+
+// TestTakeoverReplayMatchesLiveUnderCompaction fails the leader over with
+// the journal compacting after every record, and checks every 10 ms from
+// the crash until well past the takeover that replaying the journal
+// reconstructs the leader's live state. The new leader's epoch record may
+// trigger a snapshot, so it must follow the rebuild of the replayed
+// state: a snapshot of the standby's empty memory would lose every
+// service if the new leader crashed before its next record.
+func TestTakeoverReplayMatchesLiveUnderCompaction(t *testing.T) {
+	tb, err := hup.New(hup.Config{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Agent.RegisterASP("bio-institute", "genome-key"); err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastHA()
+	cfg.SnapshotEvery = 1
+	if _, err := tb.EnableHA(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"alpha", "beta"} {
+		spec, _ := webSpec(tb, t, name, 2)
+		if _, err := tb.CreateService("genome-key", spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tb.K.RunFor(sim.Second)
+	tb.Cluster.HaltLeader()
+	for step := 0; step < 300; step++ {
+		tb.K.RunFor(10 * sim.Millisecond)
+		live := tb.Cluster.Leader().StateDigest()
+		replayed, rep := soda.ReplayDigest(tb.Cluster.Journal().Bytes())
+		if replayed != live {
+			t.Fatalf("%d ms after the crash (%d failover(s)): replayed digest %.16s != live digest %.16s after %d record(s)",
+				10*(step+1), len(tb.Cluster.Failovers()), replayed, live, rep.Records)
+		}
+	}
+	if len(tb.Cluster.Failovers()) != 1 {
+		t.Fatalf("%d failover(s) within 3 s of the crash, want 1", len(tb.Cluster.Failovers()))
 	}
 }

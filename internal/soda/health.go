@@ -2,6 +2,7 @@ package soda
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/appsvc"
 	"repro/internal/svcswitch"
@@ -354,11 +355,9 @@ func (m *Master) nodeCrashed(service, node, reason string) {
 // bookkeeping, re-homes the switch if its node died, then restores the
 // lost capacity on surviving hosts.
 func (m *Master) recoverNodes(svc *Service, lost []NodeInfo, detectedAt sim.Time, cause string) {
-	lostSet := make(map[string]bool, len(lost))
 	lostCap := 0
 	homeLost := false
 	for _, n := range lost {
-		lostSet[n.NodeName] = true
 		lostCap += n.Capacity
 		if len(svc.Nodes) > 0 && svc.Nodes[0].NodeName == n.NodeName {
 			homeLost = true
@@ -369,6 +368,7 @@ func (m *Master) recoverNodes(svc *Service, lost []NodeInfo, detectedAt sim.Time
 		}
 		svc.Config.RemoveEntry(n.IP, n.Port)
 		delete(svc.nodeDaemon, n.NodeName)
+		svc.Nodes = slices.DeleteFunc(svc.Nodes, func(x NodeInfo) bool { return x.NodeName == n.NodeName })
 		m.journal("node-failed", jNodeRef{Service: svc.Spec.Name, Name: n.NodeName})
 		m.emit(EventNodeFailed, svc.Spec.Name, n.NodeName,
 			fmt.Sprintf("%s (%s, cap %d)", cause, n.HostName, n.Capacity))
@@ -376,13 +376,6 @@ func (m *Master) recoverNodes(svc *Service, lost []NodeInfo, detectedAt sim.Time
 			telemetry.L("service", svc.Spec.Name), telemetry.L("node", n.NodeName),
 			telemetry.L("cause", cause))
 	}
-	kept := svc.Nodes[:0]
-	for _, n := range svc.Nodes {
-		if !lostSet[n.NodeName] {
-			kept = append(kept, n)
-		}
-	}
-	svc.Nodes = kept
 
 	// If the switch's home node died, adopt a survivor: the Switch value
 	// (and with it the clients' reference) stays, only the executing node

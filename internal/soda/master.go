@@ -408,12 +408,6 @@ func (m *Master) CreateService(spec ServiceSpec, onDone func(*Service), onErr fu
 	if m.cluster != nil {
 		m.cluster.cacheSpec(spec)
 	}
-	m.journal("service-admitted", specOf(spec))
-	m.emit(EventAdmitted, spec.Name, "",
-		fmt.Sprintf("<%d, M> over %d node(s), strategy %v", spec.Requirement.N, len(placements), m.Strategy))
-	flog.Info("service admitted",
-		telemetry.L("service", spec.Name),
-		telemetry.L("placements", fmt.Sprint(len(placements))))
 	svc := &Service{
 		Spec:       spec,
 		State:      Priming,
@@ -423,6 +417,12 @@ func (m *Master) CreateService(spec ServiceSpec, onDone func(*Service), onErr fu
 	m.services[spec.Name] = svc
 	m.armAutoscaler(spec)
 	m.activeServices.Set(float64(len(m.services)))
+	m.journal("service-admitted", specOf(spec))
+	m.emit(EventAdmitted, spec.Name, "",
+		fmt.Sprintf("<%d, M> over %d node(s), strategy %v", spec.Requirement.N, len(placements), m.Strategy))
+	flog.Info("service admitted",
+		telemetry.L("service", spec.Name),
+		telemetry.L("placements", fmt.Sprint(len(placements))))
 
 	m.primePlacements(svc, placements, root, func(failed bool) {
 		if failed {

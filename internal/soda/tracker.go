@@ -121,19 +121,8 @@ func (m *Master) EnableChunkDistribution(cfg ChunkDistConfig) {
 	}
 	m.chunkDist = newChunkTracker(cfg)
 	for i, d := range m.daemons {
-		d.EnableChunkStore()
+		d.enableChunkStore()
 		d.attachChunkCoordinator(m, i)
-		// Seed the index with whatever the daemon already holds (images
-		// pre-warmed through the legacy cache path). Seeds journal like
-		// live announces so replay reconstructs the same holder map.
-		for name, held := range d.heldImages() {
-			for _, id := range held.ids {
-				m.trackerAnnounce(i, name, held.total, id, false)
-			}
-			if held.full {
-				m.trackerFull(i, name, held.total)
-			}
-		}
 	}
 	m.flog.Info("chunk distribution enabled",
 		telemetry.L("source_cap", itoa(m.chunkDist.cfg.SourceCap)),
@@ -270,7 +259,6 @@ func (m *Master) trackerFull(holder int, imageName string, total int) {
 // store was dropped.
 func (m *Master) forgetHolder(holder int) {
 	t := m.chunkDist
-	m.journal("chunk-forget", jChunkRef{Daemon: holder})
 	for id, hs := range t.holders {
 		for i, h := range hs {
 			if h == holder {
@@ -286,6 +274,7 @@ func (m *Master) forgetHolder(holder int) {
 		delete(ih.perDaemon, holder)
 		delete(ih.full, holder)
 	}
+	m.journal("chunk-forget", jChunkRef{Daemon: holder})
 }
 
 // liveHolders returns the chunk's holders that are alive and not the
