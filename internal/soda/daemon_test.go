@@ -278,3 +278,53 @@ func TestBillingPropertyCapacityTimesDuration(t *testing.T) {
 		t.Fatalf("billed %.2f instance-seconds, expected %.2f ± %.2f", got, expected, tolerance)
 	}
 }
+
+func TestImageCacheSkipsRepeatDownloads(t *testing.T) {
+	tb := newTestbed(t)
+	tb.EnableChunkDistribution(soda.ChunkDistConfig{})
+	img := hup.HoneypotImage("img")
+	if err := tb.Publish(img); err != nil {
+		t.Fatal(err)
+	}
+	m := soda.MachineConfig{CPUMHz: 128, MemoryMB: 32, DiskMB: 64, BandwidthMbps: 1}
+	first, err := tb.CreateService("genome-key", soda.ServiceSpec{
+		Name: "a", ImageName: img.Name, Repository: hup.RepoIP,
+		Requirement: soda.Requirement{N: 1, M: m}, GuestProfile: img.SystemServices,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := tb.CreateService("genome-key", soda.ServiceSpec{
+		Name: "b", ImageName: img.Name, Repository: hup.RepoIP,
+		Requirement: soda.Requirement{N: 1, M: m}, GuestProfile: img.SystemServices,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both land on seattle (most free CPU). The second prime must hit the
+	// cache: a local clone is far faster than the 15MB transfer.
+	if first.Nodes[0].HostName != second.Nodes[0].HostName {
+		t.Skipf("services landed on different hosts: %s vs %s",
+			first.Nodes[0].HostName, second.Nodes[0].HostName)
+	}
+	d := tb.Daemons[0]
+	if d.CacheHits != 1 || d.CachedImages() != 1 {
+		t.Fatalf("cache hits=%d images=%d", d.CacheHits, d.CachedImages())
+	}
+	if second.Nodes[0].DownloadTime >= first.Nodes[0].DownloadTime/2 {
+		t.Fatalf("cached fetch %.2fs not much faster than download %.2fs",
+			second.Nodes[0].DownloadTime.Seconds(), first.Nodes[0].DownloadTime.Seconds())
+	}
+	// Tailoring node b's clone must not corrupt the cached master: a
+	// third service still boots fine.
+	if _, err := tb.CreateService("genome-key", soda.ServiceSpec{
+		Name: "c", ImageName: img.Name, Repository: hup.RepoIP,
+		Requirement: soda.Requirement{N: 1, M: m}, GuestProfile: img.SystemServices,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	d.DropImageCache()
+	if d.CachedImages() != 0 {
+		t.Fatal("cache not dropped")
+	}
+}
