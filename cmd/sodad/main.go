@@ -90,14 +90,15 @@ func main() {
 	if err := tb.Agent.RegisterASP(*asp, *credential); err != nil {
 		fatal("enrolling ASP: %v", err)
 	}
-	// Metrics registry + virtual-clock tracer over the whole control
-	// plane; /metrics and /trace serve them.
-	tb.EnableTelemetry()
+	// hup.New built the metrics registry and virtual-clock tracer over
+	// the whole control plane; /metrics and /trace serve them. Every
+	// feature below attaches once, before the first service.
+	//
 	// Black-box flight recorder: structured logs from every subsystem
 	// captured to a ring, incidents auto-frozen on SLO violations and
 	// host failures; /logs and /incidents serve them. The logger echoes
 	// to stderr, replacing the old raw event-stream prints.
-	_, flog := tb.EnableFlightRecorder(hup.FlightOptions{})
+	_, flog := tb.EnableFlightRecorder()
 	min, err := flight.ParseLevel(*logLevel)
 	if err != nil {
 		fatal("%v", err)
@@ -129,7 +130,8 @@ func main() {
 	if *autoscaleFlag {
 		// The closed loop reading utilization, SLO burn, drops, and slow
 		// traces, driving SODA_service_resizing; /autoscale serves its
-		// state. Enabled after HA so the ticker follows the lease.
+		// state. It reads its signals from the accountant attached above;
+		// each tick routes itself to the current leader under HA.
 		tb.EnableAutoscaling(hup.AutoscaleOptions{})
 	}
 

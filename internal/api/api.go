@@ -550,14 +550,10 @@ func (s *Server) handleImages(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics exposes the testbed's metrics registry: plain text by
 // default (one `name{labels} value` line per instrument), JSON with
-// ?format=json. 404 until telemetry is enabled.
+// ?format=json.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.tb.Registry == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("api: telemetry not enabled"))
-		return
-	}
 	// soda_uptime_seconds is refreshed at exposition time rather than by
 	// a standing kernel timer, which would stop K.Run() from draining.
 	s.tb.Registry.Gauge("soda_uptime_seconds").Set(s.tb.K.Now().Seconds())
@@ -575,10 +571,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.tb.Tracer == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("api: telemetry not enabled"))
-		return
-	}
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprint(w, s.tb.Tracer.RenderText())

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/accounting"
 	"repro/internal/hup"
 	"repro/internal/soda"
 )
@@ -261,6 +262,7 @@ func TestAPIAutoscale(t *testing.T) {
 		t.Fatalf("autoscale without loop = %d, want 404", resp.StatusCode)
 	}
 
+	tb.EnableAccounting(accounting.Options{})
 	tb.EnableAutoscaling(hup.AutoscaleOptions{})
 
 	// A malformed stanza is rejected before any placement happens.

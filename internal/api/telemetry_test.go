@@ -19,19 +19,21 @@ func get(t *testing.T, url string) *http.Response {
 	return resp
 }
 
-func TestMetricsAndTraceRequireTelemetry(t *testing.T) {
+// TestMetricsAndTraceServedWithoutSetup: hup.New builds the registry
+// and tracer, so a fresh testbed serves both endpoints with no further
+// call.
+func TestMetricsAndTraceServedWithoutSetup(t *testing.T) {
 	srv, _ := apiFixture(t)
-	if resp := get(t, srv.URL+"/metrics"); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/metrics without telemetry = %d", resp.StatusCode)
+	if resp := get(t, srv.URL+"/metrics"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics on a fresh testbed = %d", resp.StatusCode)
 	}
-	if resp := get(t, srv.URL+"/trace"); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/trace without telemetry = %d", resp.StatusCode)
+	if resp := get(t, srv.URL+"/trace"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/trace on a fresh testbed = %d", resp.StatusCode)
 	}
 }
 
 func TestMetricsExposition(t *testing.T) {
-	srv, tb := apiFixture(t)
-	tb.EnableTelemetry()
+	srv, _ := apiFixture(t)
 	publishAndCreate(t, srv, "web", 2)
 
 	// Plain-text default.
@@ -73,8 +75,7 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 func TestTraceExposition(t *testing.T) {
-	srv, tb := apiFixture(t)
-	tb.EnableTelemetry()
+	srv, _ := apiFixture(t)
 	publishAndCreate(t, srv, "web", 1)
 
 	resp := get(t, srv.URL+"/trace")

@@ -161,7 +161,7 @@ func chaosRun(seed uint64, total sim.Duration) (*ChaosResult, error) {
 	inj := tb.EnableChaos(seed)
 	// Black-box flight recorder: the host death must auto-capture an
 	// incident bundle whose records span detection through recovery.
-	rec, _ := tb.EnableFlightRecorder(hup.FlightOptions{})
+	rec, _ := tb.EnableFlightRecorder()
 	// SLO evaluation with seconds-scale burn windows so the crash's
 	// latency burst raises a violation while this 20-virtual-second run
 	// is still going (the SRE-default hours-scale pairs never would).

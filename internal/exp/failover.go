@@ -135,7 +135,7 @@ func failoverRun(seed uint64, total sim.Duration) (*FailoverResult, error) {
 	inj := tb.EnableChaos(seed)
 	// Black-box flight recorder: the leader death and the takeover must
 	// each auto-capture an incident bundle.
-	rec, _ := tb.EnableFlightRecorder(hup.FlightOptions{})
+	rec, _ := tb.EnableFlightRecorder()
 
 	img := hup.WebContentImage("web", 8)
 	if err := tb.Publish(img); err != nil {

@@ -40,10 +40,7 @@ func runFlightCrashScenario(t *testing.T, seed uint64) (*flight.Recorder, []byte
 		t.Fatal(err)
 	}
 	tb.EnableSelfHealing(flightDetector())
-	rec, _ := tb.EnableFlightRecorder(FlightOptions{
-		PostWindow:   5 * sim.Second,
-		CaptureEvery: sim.Second,
-	})
+	rec, _ := tb.EnableFlightRecorder()
 
 	img := WebContentImage("img", 2)
 	if err := tb.Publish(img); err != nil {
@@ -63,7 +60,7 @@ func runFlightCrashScenario(t *testing.T, seed uint64) (*flight.Recorder, []byte
 
 	tb.K.RunFor(2 * sim.Second) // steady state on the ring
 	tb.Daemons[1].Crash()
-	tb.K.RunFor(10 * sim.Second) // detect (~0.6s), recover, seal (+5s)
+	tb.K.RunFor(20 * sim.Second) // detect (~0.6s), recover, seal (+15s post window)
 	gen.Stop()
 
 	var sealed []*flight.Incident

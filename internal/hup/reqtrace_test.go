@@ -127,10 +127,11 @@ func TestRequestTracingDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestEnableRequestTracingRetrofit: enabling tracing after a service is
-// already live attaches a collector to its switch, and the collector
-// inherits the service's SLO latency target as its slow threshold.
-func TestEnableRequestTracingRetrofit(t *testing.T) {
+// TestEnableRequestTracingBeforeCreate: tracing attached before the
+// first service gives that service's switch a collector from the
+// store, and the collector inherits the service's SLO latency target as
+// its slow threshold.
+func TestEnableRequestTracingBeforeCreate(t *testing.T) {
 	tb, err := New(Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -138,6 +139,7 @@ func TestEnableRequestTracingRetrofit(t *testing.T) {
 	if err := tb.Agent.RegisterASP("asp", "k"); err != nil {
 		t.Fatal(err)
 	}
+	st := tb.EnableRequestTracing(reqtrace.Config{})
 	img := WebContentImage("img", 2)
 	if err := tb.Publish(img); err != nil {
 		t.Fatal(err)
@@ -153,19 +155,14 @@ func TestEnableRequestTracingRetrofit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.Switch.RequestTracer() != nil {
-		t.Fatal("tracer attached before EnableRequestTracing")
-	}
-	st := tb.EnableRequestTracing(reqtrace.Config{})
 	c := svc.Switch.RequestTracer()
 	if c == nil {
-		t.Fatal("EnableRequestTracing did not retrofit the live switch")
+		t.Fatal("switch built after EnableRequestTracing has no collector")
+	}
+	if c != st.Collector("web") {
+		t.Fatal("switch collector is not the store's collector for the service")
 	}
 	if got := c.SlowThreshold(); got.Milliseconds() != 40 {
 		t.Fatalf("slow threshold %v, want the 40ms SLO target", got)
-	}
-	// Idempotent: a second enable returns the same store.
-	if tb.EnableRequestTracing(reqtrace.Config{}) != st {
-		t.Fatal("second EnableRequestTracing built a new store")
 	}
 }

@@ -20,7 +20,7 @@ func within(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 // NodeInfo measurements the daemon reports independently.
 func TestSpanTreeReproducesPrimingBreakdown(t *testing.T) {
 	tb := deployTestbed(t)
-	_, tracer := tb.EnableTelemetry()
+	tracer := tb.Tracer
 	img := WebContentImage("img", 2)
 	if err := tb.Publish(img); err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestSpanTreeReproducesPrimingBreakdown(t *testing.T) {
 // gauges through create → traffic → teardown.
 func TestTelemetryMetricsFollowLifecycle(t *testing.T) {
 	tb := deployTestbed(t)
-	reg, tracer := tb.EnableTelemetry()
+	reg, tracer := tb.Registry, tb.Tracer
 	img := WebContentImage("img", 2)
 	if err := tb.Publish(img); err != nil {
 		t.Fatal(err)
@@ -224,7 +224,6 @@ func TestTelemetryMetricsFollowLifecycle(t *testing.T) {
 // feeds ended spans into the existing Event/Observer mechanism.
 func TestSpanEventsBridgeToObservers(t *testing.T) {
 	tb := deployTestbed(t)
-	tb.EnableTelemetry()
 	var rec soda.EventRecorder
 	tb.Master.Observe(rec.Record)
 	img := WebContentImage("img", 2)

@@ -61,7 +61,8 @@ type Testbed struct {
 	Repo    *image.Repository
 	RNG     *sim.RNG
 
-	// Registry and Tracer are nil until EnableTelemetry.
+	// Registry and Tracer are built by New, on the kernel's virtual
+	// clock, and instrument the whole control plane.
 	Registry *telemetry.Registry
 	Tracer   *telemetry.Tracer
 
@@ -192,21 +193,17 @@ func New(cfg Config) (*Testbed, error) {
 	for _, d := range tb.Daemons {
 		d.RegisterRepository(repo)
 	}
+	tb.instrument()
 	return tb, nil
 }
 
-// EnableTelemetry builds a metrics registry and a tracer on the
-// kernel's virtual clock and wires them through the whole control
-// plane: the Master (admission counters, priming span trees, switch
-// instrumentation for every service created afterwards) and each
-// Daemon (stage histograms, node gauges). Returns the registry and
-// tracer, which are also kept on the Testbed for exposition.
-func (tb *Testbed) EnableTelemetry() (*telemetry.Registry, *telemetry.Tracer) {
-	if tb.Registry != nil {
-		return tb.Registry, tb.Tracer
-	}
-	reg := telemetry.NewRegistry()
+// instrument builds the metrics registry and the tracer on the kernel's
+// virtual clock and wires them through the whole control plane: the
+// Master (admission counters, priming span trees, switch
+// instrumentation) and each Daemon (stage histograms, node gauges).
+func (tb *Testbed) instrument() {
 	k := tb.K
+	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(func() sim.Duration { return k.Now().Duration() })
 	tb.Master.Instrument(reg, tracer)
 	for _, d := range tb.Daemons {
@@ -225,7 +222,19 @@ func (tb *Testbed) EnableTelemetry() (*telemetry.Registry, *telemetry.Tracer) {
 		telemetry.L("go", runtime.Version()), telemetry.L("module", mod)).Set(1)
 	reg.Gauge("soda_uptime_seconds").Set(k.Now().Seconds())
 	tb.Registry, tb.Tracer = reg, tracer
-	return reg, tracer
+}
+
+// mustAttach enforces the attach-once rule for the Testbed's features:
+// each is attached at most once, and before the first service, so no
+// attach has to retrofit live services. It panics naming the call
+// otherwise.
+func (tb *Testbed) mustAttach(call string, attached bool) {
+	switch {
+	case attached:
+		panic("hup: " + call + " called twice")
+	case tb.Master.Admitted > 0:
+		panic("hup: " + call + " after the first service; attach features before creating services")
+	}
 }
 
 // maxIncidentTraces bounds how many retained slow traces an
@@ -233,21 +242,17 @@ func (tb *Testbed) EnableTelemetry() (*telemetry.Registry, *telemetry.Tracer) {
 const maxIncidentTraces = 32
 
 // EnableRequestTracing builds the tail-sampling per-request trace
-// store and attaches it to the Master: every service switch — existing
-// and future — gets a per-service collector whose slow-retention
-// threshold derives from the service's SLO latency target (cfg's
-// SlowThreshold when the service has none). Trace IDs share the
-// telemetry exemplar namespace, so latency exemplars point at retained
-// records, resolvable via /traces/{id}. Retention is deterministic:
-// under the virtual clock, same-seed runs keep byte-identical rings.
-// Telemetry is enabled implicitly so the sampler's counters register.
-// Idempotent; the config of the first call wins.
+// store and attaches it to the Master: every service switch gets a
+// per-service collector whose slow-retention threshold derives from the
+// service's SLO latency target (cfg's SlowThreshold when the service
+// has none). Trace IDs share the telemetry exemplar namespace, so
+// latency exemplars point at retained records, resolvable via
+// /traces/{id}. Retention is deterministic: under the virtual clock,
+// same-seed runs keep byte-identical rings. Attach once, before the
+// first service.
 func (tb *Testbed) EnableRequestTracing(cfg reqtrace.Config) *reqtrace.Store {
-	if tb.ReqTraces != nil {
-		return tb.ReqTraces
-	}
-	reg, _ := tb.EnableTelemetry()
-	st := reqtrace.NewStore(cfg, reg)
+	tb.mustAttach("EnableRequestTracing", tb.ReqTraces != nil)
+	st := reqtrace.NewStore(cfg, tb.Registry)
 	tb.Master.EnableRequestTracing(st)
 	tb.ReqTraces = st
 	return st
@@ -256,19 +261,16 @@ func (tb *Testbed) EnableRequestTracing(cfg reqtrace.Config) *reqtrace.Store {
 // EnableAccounting builds the usage-metering and SLO-evaluation
 // subsystem on the kernel's virtual clock, attaches it to the Master
 // (services watched on activation, violations surfaced as events), and
-// schedules the sampling and evaluation ticks on the kernel. Telemetry
-// is enabled implicitly so usage and burn-rate gauges have a registry.
-// opt's Clock is overridden with the kernel clock; zero-valued fields
-// take the accounting defaults.
+// schedules the sampling and evaluation ticks on the kernel. opt's
+// Clock, Registry and Tracer are overridden with the testbed's;
+// zero-valued fields take the accounting defaults. Attach once, before
+// the first service.
 func (tb *Testbed) EnableAccounting(opt accounting.Options) *accounting.Accountant {
-	if tb.Accountant != nil {
-		return tb.Accountant
-	}
-	reg, tracer := tb.EnableTelemetry()
+	tb.mustAttach("EnableAccounting", tb.Accountant != nil)
 	k := tb.K
 	opt.Clock = func() sim.Time { return k.Now() }
-	opt.Registry = reg
-	opt.Tracer = tracer
+	opt.Registry = tb.Registry
+	opt.Tracer = tb.Tracer
 	acct := accounting.New(opt)
 	tb.Master.EnableAccounting(acct)
 	// One combined ticker drives both sampling and evaluation: a single
@@ -291,26 +293,21 @@ func (tb *Testbed) EnableAccounting(opt accounting.Options) *accounting.Accounta
 
 // EnableSelfHealing turns on the Master's heartbeat failure detector,
 // automatic node recovery, and passive per-backend switch health.
-// Telemetry is enabled implicitly so recovery counters and MTTR
-// histograms have a registry. Zero-valued cfg fields take the soda
-// defaults.
+// Zero-valued cfg fields take the soda defaults. Attach once, before
+// the first service.
 func (tb *Testbed) EnableSelfHealing(cfg soda.HealthConfig) {
-	tb.EnableTelemetry()
+	tb.mustAttach("EnableSelfHealing", tb.Master.HealthEnabled())
 	tb.Master.EnableHealth(cfg)
 }
 
 // EnableHA builds the warm-standby control plane: a second Master on
 // its own machine (StandbyIP), the crash-consistent journal on the
 // primary with frame-streaming to the standby, and the lease/epoch
-// failover protocol. Telemetry is enabled implicitly so the failover
-// counter, MTTR histogram, and journal gauges have a registry; a
-// flight recorder or chaos injector enabled earlier is wired through.
-// Idempotent; the config of the first call wins.
+// failover protocol. A flight recorder or chaos injector is wired to
+// the standby and the cluster whether it is attached before or after
+// HA. Attach once, before the first service.
 func (tb *Testbed) EnableHA(cfg soda.HAConfig) (*soda.Cluster, error) {
-	if tb.Cluster != nil {
-		return tb.Cluster, nil
-	}
-	reg, _ := tb.EnableTelemetry()
+	tb.mustAttach("EnableHA", tb.Cluster != nil)
 	nic, err := tb.Net.Attach("standby", 100)
 	if err != nil {
 		return nil, err
@@ -322,7 +319,7 @@ func (tb *Testbed) EnableHA(cfg soda.HAConfig) (*soda.Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	standby.Instrument(reg, nil)
+	standby.Instrument(tb.Registry, nil)
 	if tb.FlightLog != nil {
 		standby.SetFlightLogger(tb.FlightLog)
 	}
@@ -330,7 +327,7 @@ func (tb *Testbed) EnableHA(cfg soda.HAConfig) (*soda.Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	cluster.Instrument(reg)
+	cluster.Instrument(tb.Registry)
 	if tb.Chaos != nil {
 		tb.Chaos.SetCluster(cluster)
 	}
@@ -347,19 +344,22 @@ type AutoscaleOptions struct {
 // EnableAutoscaling starts the demand-driven control loop: a kernel
 // timer ticks the Master's autoscaler at a fixed period, and every
 // service whose spec carries an enabled autoscale policy is driven
-// toward its target utilization (ISSUE: scale-up on burn/drops, scaled
-// down in troughs under hysteresis and cooldowns). Accounting is
-// enabled implicitly — the loop's utilization and burn-rate signals
-// come from it; request tracing and chaos remain optional extras.
-// The tick self-routes to the cluster leader, so under HA the same
-// timer keeps driving whichever Master currently holds the lease.
-// Idempotent; the cadence of the first call wins.
+// toward its target utilization (scale-up on burn/drops, scaled down
+// in troughs under hysteresis and cooldowns). The loop's utilization
+// and burn-rate signals come from accounting, so EnableAccounting must
+// come first; request tracing and chaos remain optional extras. The
+// tick self-routes to the cluster leader, so under HA the same timer
+// keeps driving whichever Master currently holds the lease. Call it
+// once; unlike the other attaches it may follow service creation,
+// since it only starts a ticker.
 func (tb *Testbed) EnableAutoscaling(opt AutoscaleOptions) {
-	if tb.autoscaling {
-		return
+	switch {
+	case tb.autoscaling:
+		panic("hup: EnableAutoscaling called twice")
+	case tb.Accountant == nil:
+		panic("hup: EnableAutoscaling before EnableAccounting; the loop reads its signals from the accountant")
 	}
 	tb.autoscaling = true
-	tb.EnableAccounting(accounting.Options{})
 	tick := opt.TickEvery
 	if tick <= 0 {
 		tick = sim.Second
@@ -384,20 +384,20 @@ func (tb *Testbed) LeaderMaster() *soda.Master {
 
 // EnableChunkDistribution turns on cooperative content-addressed image
 // distribution: every daemon gains a chunk store and serve path, and the
-// Master acts as the tracker planning multi-source chunk fetches.
-// Idempotent; a zero config takes the defaults.
+// Master acts as the tracker planning multi-source chunk fetches. A
+// zero config takes the defaults. Attach once, before the first
+// service.
 func (tb *Testbed) EnableChunkDistribution(cfg soda.ChunkDistConfig) {
+	tb.mustAttach("EnableChunkDistribution", tb.Master.ChunkDistributionEnabled())
 	tb.Master.EnableChunkDistribution(cfg)
 }
 
 // EnableChaos attaches a fault injector to the testbed. Its randomness
 // derives from seed alone — independent of the testbed's main RNG
 // stream, so a chaos run's fault-free prefix is identical to the same
-// run without chaos. Idempotent; the seed of the first call wins.
+// run without chaos. Attach once, before the first service.
 func (tb *Testbed) EnableChaos(seed uint64) *chaos.Injector {
-	if tb.Chaos != nil {
-		return tb.Chaos
-	}
+	tb.mustAttach("EnableChaos", tb.Chaos != nil)
 	tb.Chaos = chaos.New(chaos.Config{
 		Kernel:  tb.K,
 		Net:     tb.Net,
@@ -410,49 +410,32 @@ func (tb *Testbed) EnableChaos(seed uint64) *chaos.Injector {
 	return tb.Chaos
 }
 
-// FlightOptions parameterises EnableFlightRecorder. Zero values take
-// the flight package defaults plus the tick cadences below.
-type FlightOptions struct {
-	// Ring and incident shape; zero-valued fields take flight defaults.
-	Capacity           int
-	PreRecords         int
-	PostWindow         sim.Duration
-	Cooldown           sim.Duration
-	MaxIncidents       int
-	MaxIncidentRecords int
-	// CaptureEvery is the metric-snapshot heartbeat (default 1s).
-	CaptureEvery sim.Duration
-	// TickEvery is the incident seal-check cadence (default 250ms).
-	TickEvery sim.Duration
-}
+// Flight recorder cadences: the metric-snapshot heartbeat and the
+// incident seal check.
+const (
+	flightCaptureEvery = sim.Second
+	flightTickEvery    = 250 * sim.Millisecond
+)
 
 // EnableFlightRecorder builds the black-box flight recorder on the
-// kernel's virtual clock and wires it through the control plane: a
-// structured logger on the Master (propagated to daemons, switches,
-// health, and accounting), an event observer turning every SODA event
-// into a ring record, automatic incident triggers on SLO violations
-// and host failures, and kernel timers for metric snapshots and
-// incident sealing. Telemetry is enabled implicitly so bundles carry
-// metric deltas and span subtrees. Deterministic: timestamps come from
-// virtual time, so same-seed runs produce byte-identical incident
-// bundles. Idempotent; the options of the first call win.
-func (tb *Testbed) EnableFlightRecorder(opt FlightOptions) (*flight.Recorder, *flight.Logger) {
-	if tb.Flight != nil {
-		return tb.Flight, tb.FlightLog
-	}
-	reg, tracer := tb.EnableTelemetry()
+// kernel's virtual clock, with the flight package's default ring and
+// incident shape, and wires it through the control plane: a structured
+// logger on the Master (propagated to daemons, switches, health, and
+// accounting), an event observer turning every SODA event into a ring
+// record, automatic incident triggers on SLO violations and host
+// failures, and kernel timers for metric snapshots and incident
+// sealing. Bundles carry metric deltas and span subtrees.
+// Deterministic: timestamps come from virtual time, so same-seed runs
+// produce byte-identical incident bundles. Attach once, before the
+// first service.
+func (tb *Testbed) EnableFlightRecorder() (*flight.Recorder, *flight.Logger) {
+	tb.mustAttach("EnableFlightRecorder", tb.Flight != nil)
 	k := tb.K
 	master := tb.Master
 	rec := flight.NewRecorder(flight.Options{
-		Clock:              func() time.Duration { return k.Now().Duration() },
-		Capacity:           opt.Capacity,
-		PreRecords:         opt.PreRecords,
-		PostWindow:         time.Duration(opt.PostWindow),
-		Cooldown:           time.Duration(opt.Cooldown),
-		MaxIncidents:       opt.MaxIncidents,
-		MaxIncidentRecords: opt.MaxIncidentRecords,
-		Metrics:            reg.Snapshot,
-		Spans:              tracer.Roots,
+		Clock:   func() time.Duration { return k.Now().Duration() },
+		Metrics: tb.Registry.Snapshot,
+		Spans:   tb.Tracer.Roots,
 		Routes: func() []flight.RouteTable {
 			var out []flight.RouteTable
 			for _, name := range master.Services() {
@@ -550,16 +533,8 @@ func (tb *Testbed) EnableFlightRecorder(opt FlightOptions) (*flight.Recorder, *f
 		}
 	})
 
-	capture := opt.CaptureEvery
-	if capture <= 0 {
-		capture = sim.Second
-	}
-	tick := opt.TickEvery
-	if tick <= 0 {
-		tick = 250 * sim.Millisecond
-	}
-	k.Every(capture, rec.CaptureMetrics)
-	k.Every(tick, rec.Tick)
+	k.Every(flightCaptureEvery, rec.CaptureMetrics)
+	k.Every(flightTickEvery, rec.Tick)
 
 	tb.Flight, tb.FlightLog = rec, log
 	return rec, log
@@ -595,56 +570,46 @@ func (tb *Testbed) Publish(im *image.Image) error { return tb.Repo.Publish(im) }
 // active service. It is the synchronous convenience used by tests,
 // examples, and benchmarks.
 func (tb *Testbed) CreateService(credential string, spec soda.ServiceSpec) (*soda.Service, error) {
-	var (
-		svc  *soda.Service
-		serr error
-		done bool
-	)
-	tb.Agent.ServiceCreation(credential, spec,
-		func(s *soda.Service) { svc, done = s, true },
-		func(err error) { serr, done = err, true })
-	for !done && tb.K.Pending() > 0 {
-		tb.K.RunFor(sim.Second)
-	}
-	if !done {
-		return nil, fmt.Errorf("hup: service creation for %q never settled", spec.Name)
-	}
-	return svc, serr
+	var svc *soda.Service
+	err := tb.settle(fmt.Sprintf("service creation for %q", spec.Name), func(done func(error)) {
+		tb.Agent.ServiceCreation(credential, spec,
+			func(s *soda.Service) { svc = s; done(nil) }, done)
+	})
+	return svc, err
 }
 
 // Resize runs a resizing request synchronously.
 func (tb *Testbed) Resize(credential, name string, newN int) (*soda.Service, error) {
-	var (
-		svc  *soda.Service
-		serr error
-		done bool
-	)
-	tb.Agent.ServiceResizing(credential, name, newN,
-		func(s *soda.Service) { svc, done = s, true },
-		func(err error) { serr, done = err, true })
-	for !done && tb.K.Pending() > 0 {
-		tb.K.RunFor(sim.Second)
-	}
-	if !done {
-		return nil, fmt.Errorf("hup: resize of %q never settled", name)
-	}
-	return svc, serr
+	var svc *soda.Service
+	err := tb.settle(fmt.Sprintf("resize of %q", name), func(done func(error)) {
+		tb.Agent.ServiceResizing(credential, name, newN,
+			func(s *soda.Service) { svc = s; done(nil) }, done)
+	})
+	return svc, err
 }
 
 // Teardown runs a tear-down request synchronously.
 func (tb *Testbed) Teardown(credential, name string) error {
+	return tb.settle(fmt.Sprintf("teardown of %q", name), func(done func(error)) {
+		tb.Agent.ServiceTeardown(credential, name, func() { done(nil) }, done)
+	})
+}
+
+// settle issues one asynchronous request and steps the kernel a virtual
+// second at a time until its callback fires, returning the request's
+// error — or, when the event queue drains first, an error naming what
+// never settled.
+func (tb *Testbed) settle(what string, issue func(done func(error))) error {
 	var (
-		serr error
-		done bool
+		serr    error
+		settled bool
 	)
-	tb.Agent.ServiceTeardown(credential, name,
-		func() { done = true },
-		func(err error) { serr, done = err, true })
-	for !done && tb.K.Pending() > 0 {
+	issue(func(err error) { serr, settled = err, true })
+	for !settled && tb.K.Pending() > 0 {
 		tb.K.RunFor(sim.Second)
 	}
-	if !done {
-		return fmt.Errorf("hup: teardown of %q never settled", name)
+	if !settled {
+		return fmt.Errorf("hup: %s never settled", what)
 	}
 	return serr
 }

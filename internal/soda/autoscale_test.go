@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/accounting"
 	"repro/internal/autoscale"
 	"repro/internal/hostos"
 	"repro/internal/hup"
@@ -52,6 +53,7 @@ func reportFor(t *testing.T, m *soda.Master, name string) soda.AutoscalerView {
 
 func TestAutoscaleScalesUpAndBackDown(t *testing.T) {
 	tb := newTestbed(t)
+	tb.EnableAccounting(accounting.Options{})
 	tb.EnableAutoscaling(hup.AutoscaleOptions{TickEvery: 500 * sim.Millisecond})
 	rec := &soda.EventRecorder{}
 	tb.Master.Observe(rec.Record)
@@ -107,6 +109,7 @@ func TestAutoscaleScalesUpAndBackDown(t *testing.T) {
 
 func TestAutoscaleTickIgnoresTornDownService(t *testing.T) {
 	tb := newTestbed(t)
+	tb.EnableAccounting(accounting.Options{})
 	tb.EnableAutoscaling(hup.AutoscaleOptions{})
 	spec, _ := autoWebSpec(tb, t, "web", autoPolicy())
 	if _, err := tb.CreateService("genome-key", spec); err != nil {
@@ -129,6 +132,7 @@ func TestAutoscaleTickIgnoresTornDownService(t *testing.T) {
 func autoscaleHARun(t *testing.T) (string, []byte, soda.AutoscalerView) {
 	t.Helper()
 	tb := haTestbed(t, nil)
+	tb.EnableAccounting(accounting.Options{})
 	tb.EnableAutoscaling(hup.AutoscaleOptions{TickEvery: 500 * sim.Millisecond})
 	spec, _ := autoWebSpec(tb, t, "web", autoPolicy())
 	svc, err := tb.CreateService("genome-key", spec)
@@ -188,6 +192,7 @@ func TestAutoscaleFailoverMidResizeScalesExactlyOnce(t *testing.T) {
 	second := hostos.Seattle()
 	second.Name = "spokane"
 	tb := haTestbed(t, []hostos.Spec{hostos.Seattle(), second})
+	tb.EnableAccounting(accounting.Options{})
 	tb.EnableAutoscaling(hup.AutoscaleOptions{TickEvery: 500 * sim.Millisecond})
 	pol := autoPolicy()
 	pol.Max = 2

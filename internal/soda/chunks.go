@@ -11,45 +11,26 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ChunkFetchConfig tunes the daemon's side of cooperative image
-// distribution: the multi-source chunk fetch engine.
-type ChunkFetchConfig struct {
-	// PerSourceCap bounds this daemon's concurrent fetches against any
+// The daemon's side of cooperative image distribution: the tuning of
+// the multi-source chunk fetch engine.
+const (
+	// chunkPerSourceCap bounds a daemon's concurrent fetches against any
 	// one source (peer or origin).
-	PerSourceCap int
-	// BatchSize bounds how many chunks one plan RPC asks the tracker
-	// about.
-	BatchSize int
-	// AttemptTimeout is the per-chunk-attempt deadline: a silent source
-	// (crashed peer, stalled origin) is abandoned and the chunk
+	chunkPerSourceCap = 4
+	// chunkBatchSize bounds how many chunks one plan RPC asks the
+	// tracker about.
+	chunkBatchSize = 16
+	// chunkAttemptTimeout is the per-chunk-attempt deadline: a silent
+	// source (crashed peer, stalled origin) is abandoned and the chunk
 	// re-planned.
-	AttemptTimeout sim.Duration
-	// ReplanDelay is the pause before re-asking the tracker about
+	chunkAttemptTimeout = 15 * sim.Second
+	// chunkReplanDelay is the pause before re-asking the tracker about
 	// deferred chunks.
-	ReplanDelay sim.Duration
-	// MaxAttempts bounds fetch attempts per chunk before the whole prime
-	// fails.
-	MaxAttempts int
-}
-
-func (c ChunkFetchConfig) withDefaults() ChunkFetchConfig {
-	if c.PerSourceCap <= 0 {
-		c.PerSourceCap = 4
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 16
-	}
-	if c.AttemptTimeout <= 0 {
-		c.AttemptTimeout = 15 * sim.Second
-	}
-	if c.ReplanDelay <= 0 {
-		c.ReplanDelay = 250 * sim.Millisecond
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 4
-	}
-	return c
-}
+	chunkReplanDelay = 250 * sim.Millisecond
+	// chunkMaxAttempts bounds fetch attempts per chunk before the whole
+	// prime fails.
+	chunkMaxAttempts = 4
+)
 
 // Chunk protocol wire sizes (beyond what internal/image models): the
 // plan RPC to the tracker and the per-chunk announce.
@@ -99,39 +80,25 @@ type chunkWaiter struct {
 	onErr  func(error)
 }
 
-// enableChunkStore gives the daemon a content-addressed chunk store:
-// fetched images are retained as chunks + an assembled master, repeat
-// primes are local hits, and the store doubles as a serve path for
-// peers. Idempotent.
-func (d *Daemon) enableChunkStore() {
-	if d.store == nil {
-		d.store = &chunkStore{
-			chunks: make(map[uint64]int64),
-			images: make(map[string]*storedImage),
-		}
-	}
-}
-
 // ChunkStoreEnabled reports whether the daemon retains images as chunks.
 func (d *Daemon) ChunkStoreEnabled() bool { return d.store != nil }
 
-// attachChunkCoordinator points the daemon at its tracker (the Master)
-// and records this daemon's index in the Master's table. Installed by
+// attachChunkCoordinator gives the daemon a content-addressed chunk
+// store — fetched images are retained as chunks + an assembled master,
+// repeat primes are local hits, and the store doubles as a serve path
+// for peers — and points it at its tracker (the Master), recording this
+// daemon's index in the Master's table. Installed once by
 // Master.EnableChunkDistribution.
 func (d *Daemon) attachChunkCoordinator(m *Master, index int) {
+	d.store = &chunkStore{
+		chunks: make(map[uint64]int64),
+		images: make(map[string]*storedImage),
+	}
 	d.coord = m
 	d.coordIdx = index
-	if d.fetchSet == nil {
-		d.fetchSet = simnet.NewFetchSet(d.net, d.chunkCfg.withDefaults().PerSourceCap)
-	}
-	if d.fetching == nil {
-		d.fetching = make(map[string]*chunkFetchJob)
-	}
+	d.fetchSet = simnet.NewFetchSet(d.net, chunkPerSourceCap)
+	d.fetching = make(map[string]*chunkFetchJob)
 }
-
-// SetChunkFetch replaces the chunk fetch tuning. Call before
-// EnableChunkDistribution so the per-source cap takes effect.
-func (d *Daemon) SetChunkFetch(cfg ChunkFetchConfig) { d.chunkCfg = cfg }
 
 // ChunkStoreStats is the daemon's chunk-store occupancy and sourcing
 // breakdown.
@@ -246,7 +213,6 @@ func (d *Daemon) fetchChunked(repo *image.Repository, name string, fanOut int, p
 	d.fetching[name] = job
 
 	k := d.net.Kernel()
-	cfg := d.chunkCfg.withDefaults()
 	finish := func(img *image.Image, err error) {
 		if job.settled {
 			return
@@ -351,7 +317,7 @@ func (d *Daemon) fetchChunked(repo *image.Repository, name string, fanOut int, p
 		// Overall deadline: sized for a flash crowd, not a lone flow
 		// (satellite: EstimateDownloadTimeContended), floored at the
 		// whole-image retry deadline.
-		overall := d.retry.Timeout
+		overall := downloadTimeout
 		if im, err := repo.Lookup(name); err == nil {
 			if nic, ok := d.net.Lookup(repo.IP); ok {
 				est := 2 * image.EstimateDownloadTimeContended(im, nic.RateMbps(), fanOut)
@@ -384,7 +350,7 @@ func (d *Daemon) fetchChunked(repo *image.Repository, name string, fanOut int, p
 					telemetry.L("chunk", fmt.Sprintf("%016x", id)),
 					telemetry.L("source", string(ip)))
 				attempts[id]++
-				if attempts[id] >= cfg.MaxAttempts {
+				if attempts[id] >= chunkMaxAttempts {
 					settleJob(nil, fmt.Errorf("soda: chunk %016x of %q corrupt after %d attempts: %w",
 						id, name, attempts[id], image.ErrTransient))
 					return
@@ -430,7 +396,7 @@ func (d *Daemon) fetchChunked(repo *image.Repository, name string, fanOut int, p
 				telemetry.L("chunk", fmt.Sprintf("%016x", id)),
 				telemetry.L("source", string(ip)),
 				telemetry.L("why", why))
-			if attempts[id] >= cfg.MaxAttempts {
+			if attempts[id] >= chunkMaxAttempts {
 				settleJob(nil, fmt.Errorf("soda: chunk %016x of %q failed %d attempts (%s): %w",
 					id, name, attempts[id], why, image.ErrTransient))
 				return
@@ -473,7 +439,7 @@ func (d *Daemon) fetchChunked(repo *image.Repository, name string, fanOut int, p
 					done()
 					return true
 				}
-				timer = k.After(cfg.AttemptTimeout, func() {
+				timer = k.After(chunkAttemptTimeout, func() {
 					if !settled {
 						settled = true
 						done()
@@ -516,7 +482,7 @@ func (d *Daemon) fetchChunked(repo *image.Repository, name string, fanOut int, p
 				return
 			}
 			replanTimer.Cancel()
-			replanTimer = k.After(cfg.ReplanDelay, func() {
+			replanTimer = k.After(chunkReplanDelay, func() {
 				if job.settled {
 					return
 				}
@@ -531,8 +497,8 @@ func (d *Daemon) fetchChunked(repo *image.Repository, name string, fanOut int, p
 				return
 			}
 			batch := unplanned
-			if len(batch) > cfg.BatchSize {
-				batch = batch[:cfg.BatchSize]
+			if len(batch) > chunkBatchSize {
+				batch = batch[:chunkBatchSize]
 			}
 			rest := unplanned[len(batch):]
 			ids := append([]uint64(nil), batch...)
@@ -599,10 +565,6 @@ func (d *Daemon) announce(imageName string, total int, id uint64, full bool) {
 // bounded-retry discipline as whole-image downloads; the manifest is
 // tiny, so attempts get a short deadline.
 func (d *Daemon) fetchManifestWithRetry(repo *image.Repository, name string, onDone func(*image.Manifest), onErr func(error)) {
-	cfg := d.retry
-	if cfg.Attempts < 1 {
-		cfg.Attempts = 1
-	}
 	timeout := 10 * sim.Second
 	k := d.net.Kernel()
 	var attempt func(n int)
@@ -618,13 +580,13 @@ func (d *Daemon) fetchManifestWithRetry(repo *image.Repository, name string, onD
 			return true
 		}
 		retryOrFail := func(err error) {
-			if !errors.Is(err, image.ErrTransient) || n >= cfg.Attempts {
+			if !errors.Is(err, image.ErrTransient) || n >= downloadAttempts {
 				onErr(err)
 				return
 			}
 			d.DownloadRetries++
 			d.downloadRetryCtr.Inc()
-			backoff := d.rng.JitterDuration(cfg.Backoff, cfg.JitterFrac)
+			backoff := d.rng.JitterDuration(downloadBackoff, downloadJitterFrac)
 			k.After(backoff, func() { attempt(n + 1) })
 		}
 		deadline = k.After(timeout, func() {

@@ -73,8 +73,9 @@ type Daemon struct {
 	// so Teardown and Crash can cancel them without leaking the slice,
 	// the bridged IP, or a half-built RAM disk.
 	pending map[string]*pendingPrime
-	rng     *sim.RNG
-	retry   DownloadRetryConfig
+	// rng drives download-retry jitter: a stream derived from the UID
+	// base, independent of every other randomness consumer.
+	rng *sim.RNG
 	// crashSink, when set, receives guest-crash notifications (the
 	// Master's failure detector registers one per service node).
 	crashSink func(service, node, reason string)
@@ -97,7 +98,6 @@ type Daemon struct {
 	store    *chunkStore
 	coord    *Master
 	coordIdx int
-	chunkCfg ChunkFetchConfig
 	fetchSet *simnet.FetchSet
 	// fetching dedups concurrent chunked fetches of the same image on
 	// this daemon: one engine run, many waiters.
@@ -149,35 +149,24 @@ type pendingPrime struct {
 	epoch uint64
 }
 
-// DownloadRetryConfig tunes the daemon's image-download robustness:
-// per-attempt deadline, bounded retries with exponential backoff, and
-// seeded jitter so concurrent retries don't synchronise.
-type DownloadRetryConfig struct {
-	// Attempts is the total number of download attempts (first + retries).
-	Attempts int
-	// Backoff is the delay before the second attempt; it doubles per
-	// retry, capped at MaxBackoff.
-	Backoff sim.Duration
-	// MaxBackoff caps the exponential backoff.
-	MaxBackoff sim.Duration
-	// Timeout is the per-attempt deadline; 0 disables it. It must
-	// comfortably exceed a legitimate download of the largest image
-	// (the paper's 400 MB image takes ~35 s on the 100 Mbps testbed).
-	Timeout sim.Duration
-	// JitterFrac spreads each backoff by ±frac.
-	JitterFrac float64
-}
-
-// DefaultDownloadRetry returns the daemon's retry defaults.
-func DefaultDownloadRetry() DownloadRetryConfig {
-	return DownloadRetryConfig{
-		Attempts:   3,
-		Backoff:    500 * sim.Millisecond,
-		MaxBackoff: 5 * sim.Second,
-		Timeout:    120 * sim.Second,
-		JitterFrac: 0.2,
-	}
-}
+// Image-download robustness: a per-attempt deadline, bounded retries
+// with exponential backoff, and seeded jitter so concurrent retries
+// don't synchronise.
+const (
+	// downloadAttempts is the total number of download attempts (first
+	// + retries).
+	downloadAttempts = 3
+	// downloadBackoff is the delay before the second attempt; it doubles
+	// per retry, capped at downloadMaxBackoff.
+	downloadBackoff    = 500 * sim.Millisecond
+	downloadMaxBackoff = 5 * sim.Second
+	// downloadTimeout is the per-attempt deadline. It must comfortably
+	// exceed a legitimate download of the largest image (the paper's
+	// 400 MB image takes ~35 s on the 100 Mbps testbed).
+	downloadTimeout = 120 * sim.Second
+	// downloadJitterFrac spreads each backoff by ±frac.
+	downloadJitterFrac = 0.2
+)
 
 // nodeRuntime is the daemon's bookkeeping for one virtual service node.
 type nodeRuntime struct {
@@ -210,11 +199,6 @@ type DaemonConfig struct {
 	UIDBase int
 	// Mode selects bridging (default) or the footnote-3 proxying.
 	Mode AddressMode
-	// RNG drives download-retry jitter; nil derives an independent
-	// stream from UIDBase so existing testbeds' randomness is untouched.
-	RNG *sim.RNG
-	// Retry tunes image-download retries; zero value means defaults.
-	Retry DownloadRetryConfig
 }
 
 // NewDaemon starts a SODA Daemon on a host.
@@ -228,12 +212,6 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	if cfg.UIDBase <= 0 {
 		cfg.UIDBase = 10000
 	}
-	if cfg.RNG == nil {
-		cfg.RNG = sim.NewRNG(0xDAE0 ^ uint64(cfg.UIDBase))
-	}
-	if cfg.Retry == (DownloadRetryConfig{}) {
-		cfg.Retry = DefaultDownloadRetry()
-	}
 	d := &Daemon{
 		HostIP:   cfg.HostIP,
 		host:     cfg.Host,
@@ -246,8 +224,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		mode:     cfg.Mode,
 		nextPort: 9000,
 		pending:  make(map[string]*pendingPrime),
-		rng:      cfg.RNG,
-		retry:    cfg.Retry,
+		rng:      sim.NewRNG(0xDAE0 ^ uint64(cfg.UIDBase)),
 		beatRNG:  sim.NewRNG(0xBEA7 ^ uint64(cfg.UIDBase)),
 		switches: make(map[string]*HostedSwitch),
 	}
@@ -258,20 +235,14 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 // Instrument connects the daemon's counters, node gauge, and priming
 // stage histograms to a registry, labeled by host name. A nil registry
 // (the default) keeps the counters working but disables histogram
-// collection.
+// collection. hup.New instruments every daemon before it does any work.
 func (d *Daemon) Instrument(reg *telemetry.Registry) {
 	host := telemetry.L("host", d.host.Spec.Name)
-	primed := reg.Counter("soda_daemon_primed_total", host)
-	torn := reg.Counter("soda_daemon_torndown_total", host)
-	hits := reg.Counter("soda_daemon_cache_hits_total", host)
-	retries := reg.Counter("soda_daemon_download_retries_total", host)
-	primed.Add(int64(d.Primed))
-	torn.Add(int64(d.TornDown))
-	hits.Add(int64(d.CacheHits))
-	retries.Add(int64(d.DownloadRetries))
 	d.reg = reg
-	d.primedCtr, d.tornDownCtr, d.cacheHitCtr = primed, torn, hits
-	d.downloadRetryCtr = retries
+	d.primedCtr = reg.Counter("soda_daemon_primed_total", host)
+	d.tornDownCtr = reg.Counter("soda_daemon_torndown_total", host)
+	d.cacheHitCtr = reg.Counter("soda_daemon_cache_hits_total", host)
+	d.downloadRetryCtr = reg.Counter("soda_daemon_download_retries_total", host)
 	d.chunkHitCtr = reg.Counter("soda_image_chunks_hit_total", host)
 	d.chunkPeerCtr = reg.Counter("soda_image_chunks_peer_total", host)
 	d.chunkOriginCtr = reg.Counter("soda_image_chunks_origin_total", host)
@@ -279,15 +250,7 @@ func (d *Daemon) Instrument(reg *telemetry.Registry) {
 	d.chunkRefetchCtr = reg.Counter("soda_image_chunk_refetches_total", host)
 	d.bytesPeerCtr = reg.Counter("soda_prime_bytes_from_peer", host)
 	d.bytesOriginCtr = reg.Counter("soda_prime_bytes_from_origin", host)
-	d.chunkHitCtr.Add(int64(d.ChunksHit))
-	d.chunkPeerCtr.Add(int64(d.ChunksPeer))
-	d.chunkOriginCtr.Add(int64(d.ChunksOrigin))
-	d.chunkServedCtr.Add(int64(d.ChunksServed))
-	d.chunkRefetchCtr.Add(int64(d.ChunkRefetches))
-	d.bytesPeerCtr.Add(d.BytesFromPeers)
-	d.bytesOriginCtr.Add(d.BytesFromOrigin)
 	d.liveNodes = reg.Gauge("soda_daemon_nodes", host)
-	d.liveNodes.Set(float64(len(d.nodes)))
 	d.downloadHist = reg.Histogram("soda_prime_download_seconds", nil, host)
 	d.bootHist = reg.Histogram("soda_prime_boot_seconds", nil, host)
 }
@@ -356,9 +319,6 @@ func (d *Daemon) fetchImage(repo *image.Repository, name string, fanOut int, par
 	d.downloadWithRetry(repo, name, fanOut, onDone, onErr)
 }
 
-// SetDownloadRetry replaces the download retry tuning.
-func (d *Daemon) SetDownloadRetry(cfg DownloadRetryConfig) { d.retry = cfg }
-
 // downloadWithRetry performs the HTTP download with a per-attempt
 // deadline, checksum verification, and bounded exponential backoff with
 // jitter on transient failures. Permanent failures (the image is not
@@ -367,15 +327,12 @@ func (d *Daemon) SetDownloadRetry(cfg DownloadRetryConfig) { d.retry = cfg }
 // repository NIC, so each flow legitimately takes ~N times the lone-flow
 // estimate and must not be misdiagnosed as a stall.
 func (d *Daemon) downloadWithRetry(repo *image.Repository, name string, fanOut int, onDone func(*image.Image), onErr func(error)) {
-	cfg := d.retry
-	if cfg.Attempts < 1 {
-		cfg.Attempts = 1
-	}
-	if fanOut > 1 && cfg.Timeout > 0 {
+	timeout := downloadTimeout
+	if fanOut > 1 {
 		if im, err := repo.Lookup(name); err == nil {
 			if nic, ok := d.net.Lookup(repo.IP); ok {
-				if est := 2 * image.EstimateDownloadTimeContended(im, nic.RateMbps(), fanOut); est > cfg.Timeout {
-					cfg.Timeout = est
+				if est := 2 * image.EstimateDownloadTimeContended(im, nic.RateMbps(), fanOut); est > timeout {
+					timeout = est
 				}
 			}
 		}
@@ -394,7 +351,7 @@ func (d *Daemon) downloadWithRetry(repo *image.Repository, name string, fanOut i
 			return true
 		}
 		retryOrFail := func(err error) {
-			if !errors.Is(err, image.ErrTransient) || n >= cfg.Attempts {
+			if !errors.Is(err, image.ErrTransient) || n >= downloadAttempts {
 				onErr(err)
 				return
 			}
@@ -404,27 +361,25 @@ func (d *Daemon) downloadWithRetry(repo *image.Repository, name string, fanOut i
 				telemetry.L("image", name),
 				telemetry.L("attempt", fmt.Sprint(n)),
 				telemetry.L("error", err.Error()))
-			backoff := cfg.Backoff
+			backoff := downloadBackoff
 			for i := 1; i < n; i++ {
 				backoff *= 2
-				if cfg.MaxBackoff > 0 && backoff >= cfg.MaxBackoff {
-					backoff = cfg.MaxBackoff
+				if backoff >= downloadMaxBackoff {
+					backoff = downloadMaxBackoff
 					break
 				}
 			}
-			backoff = d.rng.JitterDuration(backoff, cfg.JitterFrac)
+			backoff = d.rng.JitterDuration(backoff, downloadJitterFrac)
 			k.After(backoff, func() { attempt(n + 1) })
 		}
-		if cfg.Timeout > 0 {
-			deadline = k.After(cfg.Timeout, func() {
-				if settled {
-					return // a late completion will be discarded by settle
-				}
-				settled = true
-				retryOrFail(fmt.Errorf("soda: download of %q timed out after %v: %w",
-					name, cfg.Timeout, image.ErrTransient))
-			})
-		}
+		deadline = k.After(timeout, func() {
+			if settled {
+				return // a late completion will be discarded by settle
+			}
+			settled = true
+			retryOrFail(fmt.Errorf("soda: download of %q timed out after %v: %w",
+				name, timeout, image.ErrTransient))
+		})
 		repo.Download(name, d.HostIP, func(img *image.Image) {
 			if !settle() {
 				return
@@ -462,6 +417,10 @@ func (d *Daemon) Availability() hostos.SliceRequest {
 
 // Nodes returns the number of live nodes on this host.
 func (d *Daemon) Nodes() int { return len(d.nodes) }
+
+// FreeIPs returns how many addresses of the daemon's pool are
+// unassigned.
+func (d *Daemon) FreeIPs() int { return d.pool.Free() }
 
 // PrimeRequest is the Master's command to create one virtual service
 // node.

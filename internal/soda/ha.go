@@ -120,17 +120,16 @@ type Cluster struct {
 	epochGauge  *telemetry.Gauge
 }
 
-// NewCluster arms high availability over an existing primary Master and
-// a freshly built standby sharing the same daemon table. The journal is
-// seeded with a snapshot of the primary's current state, so HA can be
-// enabled on a testbed that already hosts services.
+// NewCluster arms high availability over a primary Master and a freshly
+// built standby sharing the same daemon table. Like every attach, it
+// comes once and before the primary's first service; the journal opens
+// with a snapshot of the primary's state.
 func NewCluster(net *simnet.Network, primary, standby *Master, cfg HAConfig) (*Cluster, error) {
 	if primary == nil || standby == nil || primary == standby {
 		return nil, fmt.Errorf("soda: cluster needs distinct primary and standby masters")
 	}
-	if primary.cluster != nil || standby.cluster != nil {
-		return nil, fmt.Errorf("soda: master already clustered")
-	}
+	primary.mustAttach("NewCluster", primary.cluster != nil)
+	standby.mustAttach("NewCluster", standby.cluster != nil)
 	if len(primary.daemons) != len(standby.daemons) {
 		return nil, fmt.Errorf("soda: primary and standby daemon tables differ")
 	}
@@ -147,9 +146,6 @@ func NewCluster(net *simnet.Network, primary, standby *Master, cfg HAConfig) (*C
 	}
 	primary.cluster = c
 	standby.cluster = c
-	for name, svc := range primary.services {
-		c.specs[name] = svc.Spec
-	}
 	c.log.SetEpoch(1)
 	primary.epoch = 1
 	primary.jlog = c.log

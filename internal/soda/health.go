@@ -155,12 +155,10 @@ type healthMonitor struct {
 // confirmed host death, re-primes the lost virtual service nodes on
 // surviving hosts and swaps them into the service switches. Passive
 // per-backend health (consecutive-error ejection with half-open
-// re-admission) is pushed into every existing and future service switch.
-// Idempotent; a second call is ignored.
+// re-admission) is pushed into every service switch. Attach once,
+// before the first service.
 func (m *Master) EnableHealth(cfg HealthConfig) {
-	if m.health != nil {
-		return
-	}
+	m.mustAttach("EnableHealth", m.health != nil)
 	cfg = cfg.withDefaults()
 	k := m.net.Kernel()
 	h := &healthMonitor{
@@ -211,14 +209,6 @@ func (m *Master) EnableHealth(cfg HealthConfig) {
 		})
 	}
 	k.Every(cfg.CheckEvery, m.checkLiveness)
-
-	// Existing switches pick up passive backend health immediately.
-	swCfg := svcswitch.HealthConfig{EjectAfter: cfg.EjectAfter, ProbeAfter: cfg.ProbeAfter}
-	for _, name := range m.Services() {
-		if svc := m.services[name]; svc.Switch != nil {
-			svc.Switch.SetHealth(swCfg)
-		}
-	}
 }
 
 // HealthEnabled reports whether EnableHealth has been called.

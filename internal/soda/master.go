@@ -139,8 +139,8 @@ func NewMaster(net *simnet.Network, ip simnet.IP, daemons []*Daemon) (*Master, e
 
 // Instrument connects the Master — and every switch it subsequently
 // creates — to a metrics registry and span tracer. Both may be nil
-// (no-op). Daemons are instrumented separately (hup.Testbed wires the
-// whole control plane in one call).
+// (no-op). Daemons are instrumented separately (hup.New wires the
+// whole control plane).
 func (m *Master) Instrument(reg *telemetry.Registry, tracer *telemetry.Tracer) {
 	m.reg = reg
 	m.tracer = tracer
@@ -162,27 +162,33 @@ func (m *Master) Instrument(reg *telemetry.Registry, tracer *telemetry.Tracer) {
 	m.autoUpCtr = reg.Counter("soda_autoscale_up_total")
 	m.autoDownCtr = reg.Counter("soda_autoscale_down_total")
 	m.autoBlockedCtr = reg.Counter("soda_autoscale_blocked_total")
-	m.admittedCtr.Add(int64(m.Admitted))
-	m.rejectedCtr.Add(int64(m.Rejected))
-	m.activeServices.Set(float64(len(m.services)))
+}
+
+// mustAttach enforces the attach-once rule for the Master's subsystems
+// (flight logger, accounting, request tracing, health, chunk
+// distribution, cluster): each is attached at most once, and before the
+// first service is admitted, so no attach has to retrofit live services
+// or switches. It panics naming the call otherwise.
+func (m *Master) mustAttach(call string, attached bool) {
+	switch {
+	case attached:
+		panic("soda: " + call + " called twice")
+	case m.Admitted > 0:
+		panic("soda: " + call + " after the first service; attach subsystems before creating services")
+	}
 }
 
 // SetFlightLogger routes the Master's structured diagnostics — and those
-// of every switch it subsequently creates and every daemon it drives —
-// into the flight recorder. Nil restores the no-op default. Call it
-// before services are created so their switches inherit the logger.
+// of every switch it creates and every daemon it drives — into the
+// flight recorder. Attach once, before the first service.
 func (m *Master) SetFlightLogger(l *flight.Logger) {
+	m.mustAttach("SetFlightLogger", m.flog != nil)
 	m.flog = l.Component("master")
 	for _, d := range m.daemons {
 		d.SetFlightLogger(l)
 	}
 	if m.acct != nil {
 		m.acct.SetLogger(l.Component("accounting"))
-	}
-	for _, svc := range m.services {
-		if svc.Switch != nil {
-			svc.Switch.SetLogger(l.Component("switch", telemetry.L("service", svc.Spec.Name)))
-		}
 	}
 }
 
@@ -191,27 +197,19 @@ func (m *Master) SetFlightLogger(l *flight.Logger) {
 func (m *Master) FlightLogger() *flight.Logger { return m.flog }
 
 // EnableAccounting attaches the usage-metering and SLO-evaluation
-// subsystem: every Active service is watched, resizes re-watch with the
-// new node set, teardowns settle the final bill, and violations surface
-// as EventSLOViolation to the Master's observers.
+// subsystem: services are watched on activation, resizes re-watch with
+// the new node set, teardowns settle the final bill, and violations
+// surface as EventSLOViolation to the Master's observers. Attach once,
+// before the first service.
 func (m *Master) EnableAccounting(a *accounting.Accountant) {
+	m.mustAttach("EnableAccounting", m.acct != nil)
 	m.acct = a
-	if a == nil {
-		return
-	}
 	if m.flog != nil {
 		a.SetLogger(m.flog.Component("accounting"))
 	}
 	a.OnViolation(func(v accounting.Violation) {
 		m.currentLeader().emit(EventSLOViolation, v.Service, "", v.Detail)
 	})
-	// Services already active (accounting enabled late) start metering
-	// from now.
-	for _, svc := range m.services {
-		if svc.State == Active {
-			m.watchService(svc)
-		}
-	}
 }
 
 // Accountant returns the attached accountant (nil when accounting is
@@ -219,34 +217,17 @@ func (m *Master) EnableAccounting(a *accounting.Accountant) {
 func (m *Master) Accountant() *accounting.Accountant { return m.acct }
 
 // EnableRequestTracing attaches the tail-sampling request-trace store:
-// every switch the Master subsequently creates — and every service
-// already active — gets a per-service collector, its slow-retention
-// threshold derived from the service's SLO latency target. Nil detaches
-// (existing switches keep their collectors until rebuilt).
+// every switch the Master creates gets a per-service collector, its
+// slow-retention threshold derived from the service's SLO latency
+// target. Attach once, before the first service.
 func (m *Master) EnableRequestTracing(st *reqtrace.Store) {
+	m.mustAttach("EnableRequestTracing", m.reqTraces != nil)
 	m.reqTraces = st
-	if st == nil {
-		return
-	}
-	for _, svc := range m.services {
-		if svc.Switch != nil {
-			m.attachRequestTracer(svc)
-		}
-	}
 }
 
 // RequestTraces returns the attached trace store (nil when request
 // tracing is disabled).
 func (m *Master) RequestTraces() *reqtrace.Store { return m.reqTraces }
-
-// attachRequestTracer wires one service's switch to its collector.
-func (m *Master) attachRequestTracer(svc *Service) {
-	c := m.reqTraces.Collector(svc.Spec.Name)
-	if slo := svc.Config.SLO(); slo.LatencyTarget > 0 {
-		c.SetSlowThreshold(slo.LatencyTarget)
-	}
-	svc.Switch.SetRequestTracer(c)
-}
 
 // UsageTotals returns a service's live cumulative metered usage.
 func (m *Master) UsageTotals(name string) (accounting.Usage, bool) {
@@ -564,7 +545,11 @@ func (m *Master) buildSwitch(svc *Service) error {
 		svc.Switch.SetLogger(m.flog.Component("switch", telemetry.L("service", svc.Spec.Name)))
 	}
 	if m.reqTraces != nil {
-		m.attachRequestTracer(svc)
+		c := m.reqTraces.Collector(svc.Spec.Name)
+		if slo := svc.Config.SLO(); slo.LatencyTarget > 0 {
+			c.SetSlowThreshold(slo.LatencyTarget)
+		}
+		svc.Switch.SetRequestTracer(c)
 	}
 	if svc.Spec.SwitchPolicy != nil {
 		svc.Switch.SetPolicy(svc.Spec.SwitchPolicy)

@@ -113,15 +113,12 @@ func newChunkTracker(cfg ChunkDistConfig) *chunkTracker {
 // EnableChunkDistribution turns the Master into the tracker of a
 // cooperative, content-addressed image distribution mesh: every daemon
 // gains a chunk store and a serve path, and primes become multi-source
-// chunk fetches planned by the Master. Idempotent; a zero config takes
-// the defaults.
+// chunk fetches planned by the Master. A zero config takes the
+// defaults. Attach once, before the first service.
 func (m *Master) EnableChunkDistribution(cfg ChunkDistConfig) {
-	if m.chunkDist != nil {
-		return
-	}
+	m.mustAttach("EnableChunkDistribution", m.chunkDist != nil)
 	m.chunkDist = newChunkTracker(cfg)
 	for i, d := range m.daemons {
-		d.enableChunkStore()
 		d.attachChunkCoordinator(m, i)
 	}
 	m.flog.Info("chunk distribution enabled",
