@@ -1,7 +1,6 @@
 package soda
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -230,7 +229,10 @@ func (d *Daemon) fetchChunked(repo *image.Repository, name string, fanOut int, p
 		}
 	}
 
-	d.fetchManifestWithRetry(repo, name, func(m *image.Manifest) {
+	// The manifest is tiny, so its attempts get a short deadline.
+	fetchWithRetry(d, "manifest fetch", name, 10*sim.Second, func(ok func(*image.Manifest), fail func(error)) {
+		repo.FetchManifest(name, d.HostIP, ok, fail)
+	}, func(m *image.Manifest) {
 		if job.settled {
 			return
 		}
@@ -314,26 +316,15 @@ func (d *Daemon) fetchChunked(repo *image.Repository, name string, fanOut int, p
 			return
 		}
 
-		// Overall deadline: sized for a flash crowd, not a lone flow
-		// (satellite: EstimateDownloadTimeContended), floored at the
-		// whole-image retry deadline.
-		overall := downloadTimeout
-		if im, err := repo.Lookup(name); err == nil {
-			if nic, ok := d.net.Lookup(repo.IP); ok {
-				est := 2 * image.EstimateDownloadTimeContended(im, nic.RateMbps(), fanOut)
-				if est > overall {
-					overall = est
-				}
+		// Overall deadline: the whole-image attempt deadline, sized for
+		// the fan-out's repository-link contention.
+		overall := d.downloadDeadline(repo, name, fanOut)
+		deadline = k.After(overall, func() {
+			if job.settled {
+				return
 			}
-		}
-		if overall > 0 {
-			deadline = k.After(overall, func() {
-				if job.settled {
-					return
-				}
-				settleJob(nil, fmt.Errorf("soda: chunked fetch of %q timed out after %v: %w", name, overall, image.ErrTransient))
-			})
-		}
+			settleJob(nil, fmt.Errorf("soda: chunked fetch of %q timed out after %v: %w", name, overall, image.ErrTransient))
+		})
 
 		chunkDone := func(id uint64, from int, ip simnet.IP, sum uint64, payload int64) {
 			if job.settled {
@@ -559,56 +550,6 @@ func (d *Daemon) announce(imageName string, total int, id uint64, full bool) {
 	_ = d.net.Transfer(d.HostIP, m.IP, announceBytes, func() {
 		m.announceChunk(idx, imageName, total, id, full)
 	})
-}
-
-// fetchManifestWithRetry fetches the chunk manifest with the same
-// bounded-retry discipline as whole-image downloads; the manifest is
-// tiny, so attempts get a short deadline.
-func (d *Daemon) fetchManifestWithRetry(repo *image.Repository, name string, onDone func(*image.Manifest), onErr func(error)) {
-	timeout := 10 * sim.Second
-	k := d.net.Kernel()
-	var attempt func(n int)
-	attempt = func(n int) {
-		settled := false
-		var deadline sim.Timer
-		settle := func() bool {
-			if settled {
-				return false
-			}
-			settled = true
-			deadline.Cancel()
-			return true
-		}
-		retryOrFail := func(err error) {
-			if !errors.Is(err, image.ErrTransient) || n >= downloadAttempts {
-				onErr(err)
-				return
-			}
-			d.DownloadRetries++
-			d.downloadRetryCtr.Inc()
-			backoff := d.rng.JitterDuration(downloadBackoff, downloadJitterFrac)
-			k.After(backoff, func() { attempt(n + 1) })
-		}
-		deadline = k.After(timeout, func() {
-			if settled {
-				return
-			}
-			settled = true
-			retryOrFail(fmt.Errorf("soda: manifest fetch of %q timed out: %w", name, image.ErrTransient))
-		})
-		repo.FetchManifest(name, d.HostIP, func(m *image.Manifest) {
-			if !settle() {
-				return
-			}
-			onDone(m)
-		}, func(err error) {
-			if !settle() {
-				return
-			}
-			retryOrFail(err)
-		})
-	}
-	attempt(1)
 }
 
 // fnvNameSalt hashes a host name into the permutation salt.

@@ -160,8 +160,8 @@ const (
 	// per retry, capped at downloadMaxBackoff.
 	downloadBackoff    = 500 * sim.Millisecond
 	downloadMaxBackoff = 5 * sim.Second
-	// downloadTimeout is the per-attempt deadline. It must comfortably
-	// exceed a legitimate download of the largest image (the paper's
+	// downloadTimeout floors the per-attempt deadline, which
+	// downloadDeadline otherwise sizes from the image (the paper's
 	// 400 MB image takes ~35 s on the 100 Mbps testbed).
 	downloadTimeout = 120 * sim.Second
 	// downloadJitterFrac spreads each backoff by ±frac.
@@ -319,27 +319,53 @@ func (d *Daemon) fetchImage(repo *image.Repository, name string, fanOut int, par
 	d.downloadWithRetry(repo, name, fanOut, onDone, onErr)
 }
 
-// downloadWithRetry performs the HTTP download with a per-attempt
-// deadline, checksum verification, and bounded exponential backoff with
-// jitter on transient failures. Permanent failures (the image is not
-// published) fail fast. fanOut widens the per-attempt deadline for
-// repository-link contention: a mass prime of N replicas shares the
-// repository NIC, so each flow legitimately takes ~N times the lone-flow
-// estimate and must not be misdiagnosed as a stall.
+// downloadWithRetry performs the HTTP download with checksum
+// verification under fetchWithRetry's attempt discipline, each attempt
+// bounded by downloadDeadline. Permanent failures (the image is not
+// published) fail fast.
 func (d *Daemon) downloadWithRetry(repo *image.Repository, name string, fanOut int, onDone func(*image.Image), onErr func(error)) {
-	timeout := downloadTimeout
-	if fanOut > 1 {
-		if im, err := repo.Lookup(name); err == nil {
-			if nic, ok := d.net.Lookup(repo.IP); ok {
-				if est := 2 * image.EstimateDownloadTimeContended(im, nic.RateMbps(), fanOut); est > timeout {
-					timeout = est
+	fetchWithRetry(d, "download", name, d.downloadDeadline(repo, name, fanOut),
+		func(ok func(*image.Image), fail func(error)) {
+			repo.Download(name, d.HostIP, func(img *image.Image) {
+				if !img.Verify() {
+					fail(fmt.Errorf("soda: image %q failed checksum verification: %w",
+						name, image.ErrTransient))
+					return
 				}
-			}
+				ok(img)
+			}, fail)
+		}, onDone, onErr)
+}
+
+// downloadDeadline bounds one whole-image download attempt and a whole
+// chunked fetch: twice the image's transfer time from its repository
+// when fanOut primes share the repository link, floored at
+// downloadTimeout. A mass prime of N replicas legitimately takes ~N
+// times the lone-flow estimate and must not be misdiagnosed as a stall;
+// neither may a lone prime of an image too large for the floor.
+func (d *Daemon) downloadDeadline(repo *image.Repository, name string, fanOut int) sim.Duration {
+	timeout := downloadTimeout
+	if im, err := repo.Lookup(name); err == nil {
+		if nic, ok := d.net.Lookup(repo.IP); ok {
+			timeout = max(timeout, 2*image.EstimateDownloadTimeContended(im, nic.RateMbps(), fanOut))
 		}
 	}
+	return timeout
+}
+
+// fetchWithRetry runs a fetch of the named image (what: "download",
+// "manifest fetch") for up to downloadAttempts attempts, each under a
+// timeout deadline. A transient failure or a missed deadline retries
+// after a backoff of downloadBackoff, doubling per retry up to
+// downloadMaxBackoff and jittered by ±downloadJitterFrac so concurrent
+// retries don't synchronise; any other failure is final. An attempt
+// reports through ok or fail; whatever arrives after its first outcome
+// (or its deadline) is discarded.
+func fetchWithRetry[T any](d *Daemon, what, name string, timeout sim.Duration,
+	attempt func(ok func(T), fail func(error)), onDone func(T), onErr func(error)) {
 	k := d.net.Kernel()
-	var attempt func(n int)
-	attempt = func(n int) {
+	var try func(n int)
+	try = func(n int) {
 		settled := false
 		var deadline sim.Timer
 		settle := func() bool {
@@ -357,7 +383,7 @@ func (d *Daemon) downloadWithRetry(repo *image.Repository, name string, fanOut i
 			}
 			d.DownloadRetries++
 			d.downloadRetryCtr.Inc()
-			d.flog.Warn("image download retry",
+			d.flog.Warn("image "+what+" retry",
 				telemetry.L("image", name),
 				telemetry.L("attempt", fmt.Sprint(n)),
 				telemetry.L("error", err.Error()))
@@ -370,34 +396,25 @@ func (d *Daemon) downloadWithRetry(repo *image.Repository, name string, fanOut i
 				}
 			}
 			backoff = d.rng.JitterDuration(backoff, downloadJitterFrac)
-			k.After(backoff, func() { attempt(n + 1) })
+			k.After(backoff, func() { try(n + 1) })
 		}
 		deadline = k.After(timeout, func() {
-			if settled {
-				return // a late completion will be discarded by settle
+			if settle() {
+				retryOrFail(fmt.Errorf("soda: %s of %q timed out after %v: %w",
+					what, name, timeout, image.ErrTransient))
 			}
-			settled = true
-			retryOrFail(fmt.Errorf("soda: download of %q timed out after %v: %w",
-				name, timeout, image.ErrTransient))
 		})
-		repo.Download(name, d.HostIP, func(img *image.Image) {
-			if !settle() {
-				return
+		attempt(func(v T) {
+			if settle() {
+				onDone(v)
 			}
-			if !img.Verify() {
-				retryOrFail(fmt.Errorf("soda: image %q failed checksum verification: %w",
-					name, image.ErrTransient))
-				return
-			}
-			onDone(img)
 		}, func(err error) {
-			if !settle() {
-				return
+			if settle() {
+				retryOrFail(err)
 			}
-			retryOrFail(err)
 		})
 	}
-	attempt(1)
+	try(1)
 }
 
 // Host returns the daemon's HUP host.

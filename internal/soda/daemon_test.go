@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/hostos"
 	"repro/internal/hup"
+	"repro/internal/image"
 	"repro/internal/sim"
 	"repro/internal/soda"
 	"repro/internal/uml"
@@ -118,6 +119,42 @@ func TestPrimeUnknownRepositoryFails(t *testing.T) {
 		if d.Nodes() != 0 {
 			t.Fatal("leak after repository failure")
 		}
+	}
+}
+
+// A lone prime of an image whose download outlasts the 120 s attempt
+// floor must get a deadline sized from the image, as a mass prime does:
+// a 1629 MB image takes ~138 s over the testbed's 100 Mbps link, so a
+// fixed 120 s deadline times out every attempt and fails the prime.
+func TestLonePrimeOfLargeImageOutlastsFloorDeadline(t *testing.T) {
+	tb, err := hup.New(hup.Config{Hosts: []hostos.Spec{hostos.Seattle()}, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Agent.RegisterASP("bio-institute", "genome-key"); err != nil {
+		t.Fatal(err)
+	}
+	img := image.NewBuilder("big").
+		WithService("/usr/sbin/httpd", 1<<20, 8080).
+		PadToMB(1629).
+		MustBuild()
+	if err := tb.Publish(img); err != nil {
+		t.Fatal(err)
+	}
+	m := soda.DefaultM()
+	m.DiskMB = 2048
+	svc, err := tb.CreateService("genome-key", soda.ServiceSpec{
+		Name: "big", ImageName: img.Name, Repository: hup.RepoIP,
+		Requirement: soda.Requirement{N: 1, M: m}, GuestProfile: img.SystemServices,
+	})
+	if err != nil {
+		t.Fatalf("lone prime of a %d MB image: %v", img.SizeMB(), err)
+	}
+	if d := svc.Nodes[0].DownloadTime; d <= 120*sim.Second {
+		t.Fatalf("download took %v; the fixture must outlast the 120 s floor", d)
+	}
+	if r := tb.Daemons[0].DownloadRetries; r != 0 {
+		t.Fatalf("%d download retries, want none", r)
 	}
 }
 

@@ -297,17 +297,27 @@ func TestHeartbeatJitterDeterministic(t *testing.T) {
 // checks after every operation that replaying the journal reconstructs
 // the live state. A record journaled before the mutation it describes
 // lets a snapshot triggered by that record capture the state without it,
-// and replay then loses the mutation.
+// and replay then loses the mutation. The SelfHealing variant also
+// crashes node guests, so self-healing journals node-failed, node-primed
+// and switch-homed records on Active services under compaction.
 func TestJournalReplayMatchesLiveUnderCompaction(t *testing.T) {
 	for _, every := range []int{1, 2, 3, 5, 64} {
 		t.Run(fmt.Sprintf("SnapshotEvery=%d", every), func(t *testing.T) {
-			compactionStream(t, every, 107)
+			compactionStream(t, every, 107, false)
+		})
+	}
+	for _, every := range []int{1, 2, 3, 5, 64} {
+		t.Run(fmt.Sprintf("SelfHealing/SnapshotEvery=%d", every), func(t *testing.T) {
+			compactionStream(t, every, 107, true)
 		})
 	}
 }
 
-// compactionStream is one run of the compaction replay check.
-func compactionStream(t *testing.T, snapshotEvery int, seed uint64) {
+// compactionStream is one run of the compaction replay check. With heal
+// it attaches self-healing and adds an operation that crashes a random
+// live node's guest and runs until the node has recovered; without it
+// the operation sequence is the one the stream has always drawn.
+func compactionStream(t *testing.T, snapshotEvery int, seed uint64, heal bool) {
 	hosts := make([]hostos.Spec, 8)
 	for i := range hosts {
 		s := hostos.Seattle()
@@ -329,6 +339,9 @@ func compactionStream(t *testing.T, snapshotEvery int, seed uint64) {
 	}
 	tb.EnableChunkDistribution(soda.ChunkDistConfig{})
 	tb.EnableAccounting(accounting.Options{})
+	if heal {
+		tb.EnableSelfHealing(fastDetector())
+	}
 	var imgs []*image.Image
 	for i, datasetMB := range []int{0, 2} {
 		img := hup.WebContentImage(fmt.Sprintf("img-%d", i), datasetMB)
@@ -385,6 +398,12 @@ func compactionStream(t *testing.T, snapshotEvery int, seed uint64) {
 			n := 1 + rng.Intn(3)
 			op = fmt.Sprintf("resize %s to %d", name, n)
 			_, err = tb.Resize("secret", name, n)
+		case heal && r >= 0.9:
+			name := live[rng.Intn(len(live))]
+			svc, _ := tb.Master.Service(name)
+			victim := svc.Nodes[rng.Intn(len(svc.Nodes))]
+			op = fmt.Sprintf("crash %s of %s", victim.NodeName, name)
+			err = crashAndRecover(tb, svc, victim)
 		default:
 			j := rng.Intn(len(live))
 			op = "teardown " + live[j]
@@ -406,6 +425,26 @@ func compactionStream(t *testing.T, snapshotEvery int, seed uint64) {
 				i, op, replayed, liveDigest, rep.Records)
 		}
 	}
+}
+
+// crashAndRecover crashes one node's guest and runs until self-healing
+// has recorded a successful recovery of it and restored the service's
+// capacity.
+func crashAndRecover(tb *hup.Testbed, svc *soda.Service, victim soda.NodeInfo) error {
+	want := svc.TotalCapacity()
+	victim.Guest.Crash("compaction stream")
+	for w := 0; w < 600; w++ {
+		tb.K.RunFor(100 * sim.Millisecond)
+		if svc.TotalCapacity() < want {
+			continue
+		}
+		for _, rec := range tb.Master.Recoveries() {
+			if rec.FailedNode == victim.NodeName && rec.OK {
+				return nil
+			}
+		}
+	}
+	return fmt.Errorf("node %s not recovered within 60 s", victim.NodeName)
 }
 
 // autoscalePending reports whether any autoscaler has a resize in flight.

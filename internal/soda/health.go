@@ -417,39 +417,10 @@ func (m *Master) restoreCapacity(svc *Service, lost []NodeInfo, lostCap int, det
 		telemetry.L("service", svc.Spec.Name), telemetry.L("instances", fmt.Sprintf("%d", lostCap)))
 
 	// Allocate replacement nodes on hosts the service does not occupy.
-	occupied := make(map[int]bool)
-	for _, di := range svc.nodeDaemon {
-		occupied[di] = true
-	}
-	var avail []HostAvail
-	for _, ha := range m.CollectAvailability() {
-		if !occupied[ha.Index] {
-			avail = append(avail, ha)
-		}
-	}
-	placements, err := AllocateWith(m.Strategy, avail, Requirement{N: lostCap, M: svc.Spec.Requirement.M}, m.Factor)
+	placements, err := m.placeFresh(svc, lostCap)
 	if err != nil {
 		// No room for fresh nodes — grow the surviving nodes in place.
-		remaining := lostCap
-		progress := true
-		for remaining > 0 && progress {
-			progress = false
-			for i := range svc.Nodes {
-				if remaining == 0 {
-					break
-				}
-				n := &svc.Nodes[i]
-				d := m.daemons[svc.nodeDaemon[n.NodeName]]
-				info, rerr := d.ResizeNodeAs(m.epoch, n.NodeName, svc.Spec.Requirement.M, n.Capacity+1, m.Factor)
-				if rerr != nil {
-					continue
-				}
-				n.Capacity = info.Capacity
-				m.journal("node-resized", jNodeRef{Service: svc.Spec.Name, Name: n.NodeName, Capacity: info.Capacity})
-				remaining--
-				progress = true
-			}
-		}
+		remaining := m.growInPlace(svc, lostCap)
 		if remaining < lostCap {
 			m.refreshConfig(svc)
 			m.watchService(svc)
@@ -476,93 +447,41 @@ func (m *Master) restoreCapacity(svc *Service, lost []NodeInfo, lostCap int, det
 		return
 	}
 
-	pending := len(placements)
-	shortfall := 0
-	finishOne := func() {
-		pending--
-		if pending > 0 {
-			return
+	m.primeNodes(svc, placements, root, "recovery.prime", func(info NodeInfo) {
+		if svc.Switch != nil {
+			svc.bind(info)
+			// If the switch is still homed on a dead guest (the whole
+			// service was lost), adopt the replacement.
+			if !svc.Switch.Node().Alive() {
+				svc.Switch.SetNode(&appsvc.GuestBackend{G: info.Guest})
+				m.homeSwitch(svc, info.NodeName)
+			}
 		}
+		mttr := k.Now().Sub(detectedAt)
+		h.recoveriesCtr.Inc()
+		h.mttrHist.Observe(mttr.Seconds())
+		h.recoveries = append(h.recoveries, RecoveryRecord{
+			At: k.Now(), Service: svc.Spec.Name,
+			FailedNode: failedNode, FailedHost: failedHost,
+			NewNode: info.NodeName, NewHost: info.HostName,
+			MTTR: mttr, OK: true,
+			Detail: fmt.Sprintf("cap %d", info.Capacity),
+		})
+		m.emit(EventNodeRecovered, svc.Spec.Name, info.NodeName,
+			fmt.Sprintf("on %s cap=%d mttr=%v", info.HostName, info.Capacity, mttr))
+		m.flog.Component("health").WithTrace(root.TraceID()).Info("node recovered",
+			telemetry.L("service", svc.Spec.Name),
+			telemetry.L("node", info.NodeName),
+			telemetry.L("host", info.HostName),
+			telemetry.L("mttr", mttr.String()))
+	}, func(unplaced int, _ error) {
 		m.refreshConfig(svc)
 		m.watchService(svc)
-		if shortfall > 0 {
-			root.Fail(fmt.Errorf("soda: recovery of %q: %d instance(s) unplaced", svc.Spec.Name, shortfall))
-			retry(shortfall)
+		if unplaced > 0 {
+			root.Fail(fmt.Errorf("soda: recovery of %q: %d instance(s) unplaced", svc.Spec.Name, unplaced))
+			retry(unplaced)
 			return
 		}
 		root.EndSpan()
-	}
-	for _, pl := range placements {
-		pl := pl
-		d := m.daemons[pl.Index]
-		nodeName := fmt.Sprintf("%s-%d", svc.Spec.Name, svc.nextNodeID)
-		svc.nextNodeID++
-		svc.nodeDaemon[nodeName] = pl.Index
-		prime := root.StartChild("recovery.prime",
-			telemetry.L("node", nodeName), telemetry.L("host", d.Host().Spec.Name))
-		abort := func(aerr error) {
-			prime.Fail(aerr)
-			delete(svc.nodeDaemon, nodeName)
-			shortfall += pl.Instances
-			finishOne()
-		}
-		terr := m.net.Transfer(m.IP, d.HostIP, 1024, func() {
-			d.Prime(PrimeRequest{
-				ServiceName:  svc.Spec.Name,
-				NodeName:     nodeName,
-				ImageName:    svc.Spec.ImageName,
-				Repository:   svc.Spec.Repository,
-				M:            svc.Spec.Requirement.M,
-				Instances:    pl.Instances,
-				Factor:       m.Factor,
-				GuestProfile: svc.Spec.GuestProfile,
-				Port:         servicePort(svc.Spec),
-				FanOut:       len(placements),
-				Span:         prime,
-				Epoch:        m.epoch,
-			}, func(info NodeInfo) {
-				prime.EndSpan()
-				svc.Nodes = append(svc.Nodes, info)
-				m.journal("node-primed", jNodePrimed{
-					jNode:  jNodeOf(svc.Spec.Name, info, pl.Index),
-					NextID: svc.nextNodeID,
-				})
-				if svc.Switch != nil {
-					entry := svcswitch.BackendEntry{IP: info.IP, Port: info.Port, Capacity: info.Capacity}
-					if svc.Spec.Behavior != nil {
-						if hd := svc.Spec.Behavior(info.Guest); hd != nil {
-							svc.Switch.Bind(entry, hd)
-						}
-					}
-					// If the switch is still homed on a dead guest (the whole
-					// service was lost), adopt the replacement.
-					if !svc.Switch.Node().Alive() {
-						svc.Switch.SetNode(&appsvc.GuestBackend{G: info.Guest})
-						m.homeSwitch(svc, info.NodeName)
-					}
-				}
-				mttr := m.net.Kernel().Now().Sub(detectedAt)
-				h.recoveriesCtr.Inc()
-				h.mttrHist.Observe(mttr.Seconds())
-				h.recoveries = append(h.recoveries, RecoveryRecord{
-					At: m.net.Kernel().Now(), Service: svc.Spec.Name,
-					FailedNode: failedNode, FailedHost: failedHost,
-					NewNode: info.NodeName, NewHost: info.HostName,
-					MTTR: mttr, OK: true,
-					Detail: fmt.Sprintf("cap %d", info.Capacity),
-				})
-				m.emit(EventNodeRecovered, svc.Spec.Name, info.NodeName,
-					fmt.Sprintf("on %s cap=%d mttr=%v", info.HostName, info.Capacity, mttr))
-				m.flog.Component("health").WithTrace(root.TraceID()).Info("node recovered",
-					telemetry.L("service", svc.Spec.Name),
-					telemetry.L("node", info.NodeName),
-					telemetry.L("host", info.HostName),
-					telemetry.L("mttr", mttr.String()))
-				finishOne()
-			}, abort)
-		})
-		if terr != nil {
-			abort(terr)
-		}
-	}
+	})
 }

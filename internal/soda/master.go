@@ -405,8 +405,10 @@ func (m *Master) CreateService(spec ServiceSpec, onDone func(*Service), onErr fu
 		telemetry.L("service", spec.Name),
 		telemetry.L("placements", fmt.Sprint(len(placements))))
 
-	m.primePlacements(svc, placements, root, func(failed bool) {
-		if failed {
+	m.primeNodes(svc, placements, root, "prime", func(info NodeInfo) {
+		m.emitNodePrimed(spec.Name, info)
+	}, func(unplaced int, _ error) {
+		if unplaced > 0 {
 			m.rollback(svc)
 			fail(fmt.Errorf("soda: priming failed for service %q", spec.Name))
 			return
@@ -434,25 +436,38 @@ func (m *Master) CreateService(spec ServiceSpec, onDone func(*Service), onErr fu
 	})
 }
 
-// primePlacements fans the priming commands out to the chosen daemons,
-// fills svc.Nodes (sorted by node name), and reports whether any node
-// failed. It is shared by CreateService and CreatePartitionedService.
-// Each placement becomes a "prime" child span of parent (nil parent =
-// untraced), whose grandchildren — image.download, guest.boot,
+// primeNodes primes one new virtual service node per placement — the
+// one fan-out behind creation, growth and self-healing (§3.2: the Master
+// "will then contact the SODA Daemons running in the selected HUP
+// hosts"; §3.4: resizing may "add ... virtual service node(s)"). Each
+// placement gets the service's next node name and a 1 KB command
+// transfer to its daemon; under a non-nil parent it also gets a spanName
+// child span, whose grandchildren — image.download, guest.boot,
 // service.bootstrap — are filled in by the daemon and uml.Boot.
-func (m *Master) primePlacements(svc *Service, placements []Placement, parent *telemetry.Span, onFinish func(failed bool)) {
+//
+// A node of a service still Priming joins svc.Nodes only once every
+// placement has reported, sorted by name, so the switch homes on the
+// lowest-named node; a node of a live service joins at once. Either way
+// node-primed is journaled after that mutation (DESIGN §14), and then
+// onPrimed runs: the caller's event, switch binding or re-homing. A
+// failed placement drops its node's daemon binding. onFinish reports the
+// instances left unplaced and the last error.
+func (m *Master) primeNodes(svc *Service, placements []Placement, parent *telemetry.Span, spanName string,
+	onPrimed func(NodeInfo), onFinish func(unplaced int, err error)) {
 	spec := svc.Spec
+	creating := svc.State == Priming
 	remaining := len(placements)
-	failed := false
-	var nodes []NodeInfo
+	unplaced := 0
+	var lastErr error
+	var created []NodeInfo
 	finishOne := func() {
 		remaining--
 		if remaining > 0 {
 			return
 		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].NodeName < nodes[j].NodeName })
-		svc.Nodes = append(svc.Nodes, nodes...)
-		onFinish(failed)
+		sort.Slice(created, func(i, j int) bool { return created[i].NodeName < created[j].NodeName })
+		svc.Nodes = append(svc.Nodes, created...)
+		onFinish(unplaced, lastErr)
 	}
 
 	for _, pl := range placements {
@@ -461,11 +476,15 @@ func (m *Master) primePlacements(svc *Service, placements []Placement, parent *t
 		nodeName := fmt.Sprintf("%s-%d", spec.Name, svc.nextNodeID)
 		svc.nextNodeID++
 		svc.nodeDaemon[nodeName] = pl.Index
-		prime := parent.StartChild("prime",
+		prime := parent.StartChild(spanName,
 			telemetry.L("node", nodeName), telemetry.L("host", d.Host().Spec.Name))
-		// The priming command crosses the LAN to the daemon (§3.2: the
-		// Master "will then contact the SODA Daemons running in the
-		// selected HUP hosts").
+		fail := func(err error) {
+			prime.Fail(err)
+			delete(svc.nodeDaemon, nodeName)
+			unplaced += pl.Instances
+			lastErr = err
+			finishOne()
+		}
 		err := m.net.Transfer(m.IP, d.HostIP, 1024, func() {
 			d.Prime(PrimeRequest{
 				ServiceName:  spec.Name,
@@ -482,30 +501,31 @@ func (m *Master) primePlacements(svc *Service, placements []Placement, parent *t
 				Epoch:        m.epoch,
 			}, func(info NodeInfo) {
 				prime.EndSpan()
+				if creating {
+					created = append(created, info)
+				} else {
+					svc.Nodes = append(svc.Nodes, info)
+				}
 				m.journal("node-primed", jNodePrimed{
 					jNode:  jNodeOf(spec.Name, info, pl.Index),
 					NextID: svc.nextNodeID,
 				})
-				m.emit(EventNodePrimed, spec.Name, info.NodeName,
-					fmt.Sprintf("%s ip=%s cap=%d download=%.1fs boot=%.1fs",
-						info.HostName, info.IP, info.Capacity,
-						info.DownloadTime.Seconds(), info.BootTime.Seconds()))
-				nodes = append(nodes, info)
+				onPrimed(info)
 				finishOne()
-			}, func(err error) {
-				prime.Fail(err)
-				failed = true
-				delete(svc.nodeDaemon, nodeName)
-				finishOne()
-			})
+			}, fail)
 		})
 		if err != nil {
-			prime.Fail(err)
-			failed = true
-			delete(svc.nodeDaemon, nodeName)
-			finishOne()
+			fail(err)
 		}
 	}
+}
+
+// emitNodePrimed announces one primed node of a service being created.
+func (m *Master) emitNodePrimed(service string, info NodeInfo) {
+	m.emit(EventNodePrimed, service, info.NodeName,
+		fmt.Sprintf("%s ip=%s cap=%d download=%.1fs boot=%.1fs",
+			info.HostName, info.IP, info.Capacity,
+			info.DownloadTime.Seconds(), info.BootTime.Seconds()))
 }
 
 func servicePort(spec ServiceSpec) int {
@@ -560,15 +580,23 @@ func (m *Master) buildSwitch(svc *Service) error {
 			ProbeAfter: m.health.cfg.ProbeAfter,
 		})
 	}
-	if svc.Spec.Behavior != nil {
-		for i, n := range svc.Nodes {
-			if h := svc.Spec.Behavior(n.Guest); h != nil {
-				svc.Switch.Bind(entries[i], h)
-			}
-		}
+	for _, n := range svc.Nodes {
+		svc.bind(n)
 	}
 	m.homeSwitch(svc, svc.Nodes[0].NodeName)
 	return nil
+}
+
+// bind wires a node's request handling (Spec.Behavior) into the
+// service switch. A partitioned component has no switch of its own; its
+// nodes are bound to the shared one by buildPartitionedSwitch.
+func (s *Service) bind(n NodeInfo) {
+	if s.Spec.Behavior == nil || s.Switch == nil {
+		return
+	}
+	if h := s.Spec.Behavior(n.Guest); h != nil {
+		s.Switch.Bind(svcswitch.BackendEntry{IP: n.IP, Port: n.Port, Capacity: n.Capacity}, h)
+	}
 }
 
 // homeSwitch records that the service switch now runs in the named node:

@@ -189,8 +189,10 @@ func (m *Master) CreatePartitionedService(name string, comps []ComponentSpec, on
 			m.cluster.cacheSpec(svc.Spec)
 		}
 		m.journal("component-admitted", specOf(svc.Spec))
-		m.primePlacements(svc, placements, comp, func(failed bool) {
-			if failed {
+		m.primeNodes(svc, placements, comp, "prime", func(info NodeInfo) {
+			m.emitNodePrimed(subName, info)
+		}, func(unplaced int, _ error) {
+			if unplaced > 0 {
 				comp.Fail(fmt.Errorf("priming failed"))
 				m.rollback(svc)
 				m.teardownPartitioned(ps)

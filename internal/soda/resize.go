@@ -112,10 +112,42 @@ func (m *Master) shrink(svc *Service, delta int) error {
 	return nil
 }
 
-// grow adds delta machine instances: in-place first, then new nodes.
+// grow adds delta machine instances: in-place first, then new nodes on
+// hosts without one. Growth is untraced.
 func (m *Master) grow(svc *Service, delta int, onDone func(*Service), onErr func(error)) {
-	// Phase 1: in-place growth, one instance at a time round-robin over
-	// existing nodes so load stays balanced.
+	delta = m.growInPlace(svc, delta)
+	m.refreshConfig(svc)
+	if delta == 0 {
+		if onDone != nil {
+			onDone(svc)
+		}
+		return
+	}
+	placements, err := m.placeFresh(svc, delta)
+	if err != nil {
+		if onErr != nil {
+			onErr(fmt.Errorf("soda: resize of %q: %w", svc.Spec.Name, err))
+		}
+		return
+	}
+	m.primeNodes(svc, placements, nil, "", svc.bind, func(_ int, err error) {
+		m.refreshConfig(svc)
+		if err != nil {
+			if onErr != nil {
+				onErr(err)
+			}
+			return
+		}
+		if onDone != nil {
+			onDone(svc)
+		}
+	})
+}
+
+// growInPlace adds up to delta instances to the service's existing
+// nodes, one at a time round-robin so load stays balanced, and returns
+// how many it could not place. The caller refreshes the configuration.
+func (m *Master) growInPlace(svc *Service, delta int) int {
 	progress := true
 	for delta > 0 && progress {
 		progress = false
@@ -135,15 +167,12 @@ func (m *Master) grow(svc *Service, delta int, onDone func(*Service), onErr func
 			progress = true
 		}
 	}
-	m.refreshConfig(svc)
-	if delta == 0 {
-		if onDone != nil {
-			onDone(svc)
-		}
-		return
-	}
+	return delta
+}
 
-	// Phase 2: prime additional nodes on hosts without one.
+// placeFresh allocates n more instances of the service's machine
+// configuration on hosts the service does not occupy yet.
+func (m *Master) placeFresh(svc *Service, n int) ([]Placement, error) {
 	occupied := make(map[int]bool)
 	for _, di := range svc.nodeDaemon {
 		occupied[di] = true
@@ -154,71 +183,7 @@ func (m *Master) grow(svc *Service, delta int, onDone func(*Service), onErr func
 			avail = append(avail, ha)
 		}
 	}
-	placements, err := AllocateWith(m.Strategy, avail, Requirement{N: delta, M: svc.Spec.Requirement.M}, m.Factor)
-	if err != nil {
-		if onErr != nil {
-			onErr(fmt.Errorf("soda: resize of %q: %w", svc.Spec.Name, err))
-		}
-		return
-	}
-	remaining := len(placements)
-	var failErr error
-	finishOne := func() {
-		remaining--
-		if remaining > 0 {
-			return
-		}
-		m.refreshConfig(svc)
-		if failErr != nil {
-			if onErr != nil {
-				onErr(failErr)
-			}
-			return
-		}
-		if onDone != nil {
-			onDone(svc)
-		}
-	}
-	for _, pl := range placements {
-		pl := pl
-		d := m.daemons[pl.Index]
-		nodeName := fmt.Sprintf("%s-%d", svc.Spec.Name, svc.nextNodeID)
-		svc.nextNodeID++
-		svc.nodeDaemon[nodeName] = pl.Index
-		err := m.net.Transfer(m.IP, d.HostIP, 1024, func() {
-			d.Prime(PrimeRequest{
-				ServiceName:  svc.Spec.Name,
-				NodeName:     nodeName,
-				ImageName:    svc.Spec.ImageName,
-				Repository:   svc.Spec.Repository,
-				M:            svc.Spec.Requirement.M,
-				Instances:    pl.Instances,
-				Factor:       m.Factor,
-				GuestProfile: svc.Spec.GuestProfile,
-				Port:         servicePort(svc.Spec),
-				Epoch:        m.epoch,
-			}, func(info NodeInfo) {
-				svc.Nodes = append(svc.Nodes, info)
-				m.journal("node-primed", jNodePrimed{jNode: jNodeOf(svc.Spec.Name, info, pl.Index), NextID: svc.nextNodeID})
-				entry := svcswitch.BackendEntry{IP: info.IP, Port: info.Port, Capacity: info.Capacity}
-				if svc.Spec.Behavior != nil {
-					if h := svc.Spec.Behavior(info.Guest); h != nil {
-						svc.Switch.Bind(entry, h)
-					}
-				}
-				finishOne()
-			}, func(err error) {
-				failErr = err
-				delete(svc.nodeDaemon, nodeName)
-				finishOne()
-			})
-		})
-		if err != nil {
-			failErr = err
-			delete(svc.nodeDaemon, nodeName)
-			finishOne()
-		}
-	}
+	return AllocateWith(m.Strategy, avail, Requirement{N: n, M: svc.Spec.Requirement.M}, m.Factor)
 }
 
 // refreshConfig rewrites the service configuration file from the node

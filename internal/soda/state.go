@@ -263,15 +263,7 @@ func (m *Master) captureState() *masterState {
 			js.Home = svc.Nodes[0].NodeName
 		}
 		for _, n := range svc.Nodes {
-			js.Nodes = append(js.Nodes, jNode{
-				Name:     n.NodeName,
-				Host:     n.HostName,
-				IP:       string(n.IP),
-				Port:     n.Port,
-				Capacity: n.Capacity,
-				UID:      n.UID,
-				Daemon:   svc.nodeDaemon[n.NodeName],
-			})
+			js.Nodes = append(js.Nodes, jNodeOf("", n, svc.nodeDaemon[n.NodeName]))
 		}
 		sort.Slice(js.Nodes, func(i, j int) bool { return js.Nodes[i].Name < js.Nodes[j].Name })
 		st.Services = append(st.Services, js)
