@@ -115,6 +115,12 @@ type Proxy struct {
 	transport *http.Transport
 	retry     atomic.Pointer[RetryPolicy]
 
+	// retryExhausted counts requests dropped while untried backends
+	// remained (the retry cap or idempotency gate stopped the walk). Only
+	// the proxy has such gates, so the counter is its own, not the
+	// router's.
+	retryExhausted *telemetry.Counter
+
 	// reqSeq numbers requests (atomically — ServeHTTP is concurrent);
 	// histogram exemplars carry it as the trace ID.
 	reqSeq atomic.Uint64
@@ -140,9 +146,10 @@ func New(config *svcswitch.ConfigFile) *Proxy {
 // NewWithTransport is New with explicit transport settings.
 func NewWithTransport(config *svcswitch.ConfigFile, tc TransportConfig) *Proxy {
 	p := &Proxy{
-		config:    config,
-		proxies:   make(map[string]*httputil.ReverseProxy),
-		transport: tc.transport(),
+		config:         config,
+		proxies:        make(map[string]*httputil.ReverseProxy),
+		transport:      tc.transport(),
+		retryExhausted: &telemetry.Counter{},
 	}
 	p.r = svcswitch.NewRouter(config, false, p.proxyFor)
 	p.SetRetryPolicy(DefaultRetryPolicy())
@@ -177,8 +184,14 @@ func (p *Proxy) now(at time.Time) int64 {
 // Instrument connects the proxy's counters and wall-clock latency
 // histograms to a registry — the same instrument names as the simulated
 // switch, labeled by service, so dashboards read identically over
-// simulated and live traffic.
-func (p *Proxy) Instrument(reg *telemetry.Registry) { p.r.Instrument(reg) }
+// simulated and live traffic — plus soda_switch_retry_exhausted_total,
+// which only the proxy's retry gates can increment.
+func (p *Proxy) Instrument(reg *telemetry.Registry) {
+	p.r.Instrument(reg)
+	c := reg.Counter("soda_switch_retry_exhausted_total", telemetry.L("service", p.config.ServiceName))
+	c.Add(p.retryExhausted.Value())
+	p.retryExhausted = c
+}
 
 // SetLogger routes the proxy's backend-health transitions and drops into
 // the flight recorder. Safe to call while requests are in flight. A nil
@@ -210,7 +223,7 @@ func (p *Proxy) Retried() int { return int(p.r.Retried.Value()) }
 // RetryExhausted returns how many requests were dropped while untried
 // backends remained — the retry cap or the idempotency gate stopped the
 // proxy from trying them.
-func (p *Proxy) RetryExhausted() int { return int(p.r.RetryExhausted.Value()) }
+func (p *Proxy) RetryExhausted() int { return int(p.retryExhausted.Value()) }
 
 // EjectedTotal returns how many times a backend was ejected.
 func (p *Proxy) EjectedTotal() int { return int(p.r.Ejected.Value()) }
@@ -425,7 +438,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		rtc.Offer(&rec)
 	}
 	if lastErr != nil && tried.Len() < n {
-		p.r.RetryExhausted.Inc()
+		p.retryExhausted.Inc()
 	}
 	msg := "realswitch: no live backend"
 	if lastErr != nil {

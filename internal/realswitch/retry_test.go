@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/svcswitch"
+	"repro/internal/telemetry"
 )
 
 // Retry-cap, non-idempotent, and passive-health tests over real TCP.
@@ -27,6 +28,8 @@ func post(t *testing.T, url string) *http.Response {
 func TestRetryDisabledCountsExhaustion(t *testing.T) {
 	p, front, _, servers := liveFixture(t)
 	p.SetRetryPolicy(RetryPolicy{MaxRetries: 0})
+	reg := telemetry.NewRegistry()
+	p.Instrument(reg)
 	for _, s := range servers {
 		s.Close()
 	}
@@ -42,6 +45,10 @@ func TestRetryDisabledCountsExhaustion(t *testing.T) {
 	// backend on the table.
 	if p.RetryExhausted() != 1 {
 		t.Fatalf("retry-exhausted = %d, want 1", p.RetryExhausted())
+	}
+	l := telemetry.L("service", p.config.ServiceName)
+	if got := reg.Snapshot().Counter("soda_switch_retry_exhausted_total", l); got != 1 {
+		t.Fatalf("retry-exhausted series = %d, want 1", got)
 	}
 }
 

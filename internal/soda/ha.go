@@ -489,6 +489,7 @@ func (c *Cluster) daemonResynced(nl *Master, di int, report ResyncReport, rep jo
 		}
 		svc.Switch = hs.Switch
 		svc.Config = hs.Config
+		svc.component = componentTag(hs.Service, hs.Config.ServiceName)
 	}
 	for _, hc := range report.Chunks {
 		if nl.chunkDist == nil {

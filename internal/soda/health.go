@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/appsvc"
-	"repro/internal/svcswitch"
 	"repro/internal/telemetry"
 
 	"repro/internal/sim"
@@ -353,8 +352,7 @@ func (m *Master) recoverNodes(svc *Service, lost []NodeInfo, detectedAt sim.Time
 			homeLost = true
 		}
 		if svc.Switch != nil {
-			entry := svcswitch.BackendEntry{IP: n.IP, Port: n.Port, Capacity: n.Capacity}
-			svc.Switch.Unbind(entry)
+			svc.Switch.Unbind(svc.entry(n))
 		}
 		svc.Config.RemoveEntry(n.IP, n.Port)
 		delete(svc.nodeDaemon, n.NodeName)

@@ -3,6 +3,7 @@ package soda
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/accounting"
 	"repro/internal/appsvc"
@@ -35,7 +36,8 @@ type Master struct {
 	// the Agent folds it into the owner's bill.
 	settled map[string]accounting.Usage
 
-	// Admitted and Rejected count creation requests.
+	// Admitted and Rejected count creation requests; a partitioned
+	// request counts one admission per component.
 	Admitted, Rejected int
 
 	// acct meters usage and evaluates SLOs for hosted services; nil when
@@ -100,12 +102,26 @@ type Service struct {
 	// Switch routes client requests to the nodes.
 	Switch *svcswitch.Switch
 
+	// component tags the service's rows in Config when it is a component
+	// of a partitioned service, sharing Config and Switch with its
+	// siblings; empty for a plain service.
+	component  string
 	nodeDaemon map[string]int // node name → daemon index
 	nextNodeID int
 }
 
-// TotalCapacity returns the service's current machine-instance count.
-func (s *Service) TotalCapacity() int { return s.Config.TotalCapacity() }
+// TotalCapacity returns the service's current machine-instance count:
+// the capacity of its rows in the configuration file.
+func (s *Service) TotalCapacity() int {
+	if s.component == "" {
+		return s.Config.TotalCapacity()
+	}
+	total := 0
+	for _, e := range s.Config.EntriesFor(s.component) {
+		total += e.Capacity
+	}
+	return total
+}
 
 // NodeByName returns the named node's info.
 func (s *Service) NodeByName(name string) (NodeInfo, bool) {
@@ -344,96 +360,139 @@ func (m *Master) CollectAvailability() []HostAvail {
 // failure or if any priming step fails (already-primed nodes are rolled
 // back).
 func (m *Master) CreateService(spec ServiceSpec, onDone func(*Service), onErr func(error)) {
+	m.createServices(spec.Name, []ServiceSpec{spec}, func(svcs []*Service) {
+		if onDone != nil {
+			onDone(svcs[0])
+		}
+	}, onErr)
+}
+
+// createServices creates services that share one switch and one
+// configuration file named file: a plain service alone (file is its
+// name), or the components of a partitioned service (see partition.go),
+// each tagged in the file by componentTag. The services are admitted and
+// primed in order, so each allocation sees the reservations made before
+// it. Once the last is primed, the switch is built and every service
+// turns Active. A failure rolls back every service admitted so far and
+// rejects the one that failed.
+func (m *Master) createServices(file string, specs []ServiceSpec, onDone func([]*Service), onErr func(error)) {
 	if m.halted {
 		if onErr != nil {
 			onErr(fmt.Errorf("soda: master is down"))
 		}
 		return
 	}
-	root := m.tracer.StartRoot("service.create", telemetry.L("service", spec.Name))
-	flog := m.flog.WithTrace(root.TraceID())
-	fail := func(err error) {
-		m.Rejected++
-		m.rejectedCtr.Inc()
-		m.journal("service-rejected", jName{Service: spec.Name})
-		m.emit(EventRejected, spec.Name, "", err.Error())
-		flog.Error("service rejected",
-			telemetry.L("service", spec.Name), telemetry.L("error", err.Error()))
-		root.Fail(err)
-		if onErr != nil {
-			onErr(err)
+	cfg := svcswitch.NewConfigFile(file)
+	var svcs []*Service
+	var roots []*telemetry.Span
+	var admit func(i int)
+	admit = func(i int) {
+		spec := specs[i]
+		root := m.tracer.StartRoot("service.create", telemetry.L("service", spec.Name))
+		roots = append(roots, root)
+		fail := func(err error) {
+			for _, svc := range svcs {
+				m.rollback(svc)
+			}
+			for _, r := range roots[:i] {
+				r.Fail(err)
+			}
+			m.reject(spec.Name, err, root, onErr)
 		}
-	}
-	admission := root.StartChild("admission")
-	if err := spec.Validate(); err != nil {
-		admission.Fail(err)
-		fail(err)
-		return
-	}
-	if _, dup := m.services[spec.Name]; dup {
-		err := fmt.Errorf("soda: service %q already hosted", spec.Name)
-		admission.Fail(err)
-		fail(err)
-		return
-	}
-	placements, err := AllocateWith(m.Strategy, m.CollectAvailability(), spec.Requirement, m.Factor)
-	if err != nil {
-		admission.Fail(err)
-		fail(err)
-		return
-	}
-	admission.Annotate("placements", fmt.Sprintf("%d", len(placements)))
-	admission.EndSpan()
-	m.Admitted++
-	m.admittedCtr.Inc()
-	if m.cluster != nil {
-		m.cluster.cacheSpec(spec)
-	}
-	svc := &Service{
-		Spec:       spec,
-		State:      Priming,
-		Config:     svcswitch.NewConfigFile(spec.Name),
-		nodeDaemon: make(map[string]int),
-	}
-	m.services[spec.Name] = svc
-	m.armAutoscaler(spec)
-	m.activeServices.Set(float64(len(m.services)))
-	m.journal("service-admitted", specOf(spec))
-	m.emit(EventAdmitted, spec.Name, "",
-		fmt.Sprintf("<%d, M> over %d node(s), strategy %v", spec.Requirement.N, len(placements), m.Strategy))
-	flog.Info("service admitted",
-		telemetry.L("service", spec.Name),
-		telemetry.L("placements", fmt.Sprint(len(placements))))
-
-	m.primeNodes(svc, placements, root, "prime", func(info NodeInfo) {
-		m.emitNodePrimed(spec.Name, info)
-	}, func(unplaced int, _ error) {
-		if unplaced > 0 {
-			m.rollback(svc)
-			fail(fmt.Errorf("soda: priming failed for service %q", spec.Name))
-			return
-		}
-		build := root.StartChild("switch.build")
-		if err := m.buildSwitch(svc); err != nil {
-			build.Fail(err)
-			m.rollback(svc)
+		admission := root.StartChild("admission")
+		if err := spec.Validate(); err != nil {
+			admission.Fail(err)
 			fail(err)
 			return
 		}
-		build.EndSpan()
-		svc.State = Active
-		m.journal("service-active", jName{Service: spec.Name})
-		root.EndSpan()
-		m.watchService(svc)
-		m.emit(EventServiceActive, spec.Name, "",
-			fmt.Sprintf("switch on %s, policy %s", svc.Nodes[0].NodeName, svc.Switch.Policy().Name()))
-		flog.Info("service active",
-			telemetry.L("service", spec.Name),
-			telemetry.L("switch", svc.Nodes[0].NodeName))
-		if onDone != nil {
-			onDone(svc)
+		if _, dup := m.services[spec.Name]; dup {
+			err := fmt.Errorf("soda: service %q already hosted", spec.Name)
+			admission.Fail(err)
+			fail(err)
+			return
 		}
-	})
+		placements, err := AllocateWith(m.Strategy, m.CollectAvailability(), spec.Requirement, m.Factor)
+		if err != nil {
+			admission.Fail(err)
+			fail(err)
+			return
+		}
+		admission.Annotate("placements", fmt.Sprintf("%d", len(placements)))
+		admission.EndSpan()
+		m.Admitted++
+		m.admittedCtr.Inc()
+		if m.cluster != nil {
+			m.cluster.cacheSpec(spec)
+		}
+		svc := &Service{
+			Spec:       spec,
+			State:      Priming,
+			Config:     cfg,
+			component:  componentTag(spec.Name, file),
+			nodeDaemon: make(map[string]int),
+		}
+		m.services[spec.Name] = svc
+		svcs = append(svcs, svc)
+		m.armAutoscaler(spec)
+		m.activeServices.Set(float64(len(m.services)))
+		m.journal("service-admitted", specOf(spec))
+		m.emit(EventAdmitted, spec.Name, "",
+			fmt.Sprintf("<%d, M> over %d node(s), strategy %v", spec.Requirement.N, len(placements), m.Strategy))
+		m.flog.WithTrace(root.TraceID()).Info("service admitted",
+			telemetry.L("service", spec.Name),
+			telemetry.L("placements", fmt.Sprint(len(placements))))
+
+		m.primeNodes(svc, placements, root, "prime", func(info NodeInfo) {
+			m.emitNodePrimed(spec.Name, info)
+		}, func(unplaced int, _ error) {
+			if unplaced > 0 {
+				fail(fmt.Errorf("soda: priming failed for service %q", spec.Name))
+				return
+			}
+			if i+1 < len(specs) {
+				admit(i + 1)
+				return
+			}
+			build := root.StartChild("switch.build")
+			if err := m.buildSwitch(svcs...); err != nil {
+				build.Fail(err)
+				fail(err)
+				return
+			}
+			build.EndSpan()
+			home := svcs[0].Nodes[0].NodeName
+			for j, s := range svcs {
+				s.State = Active
+				m.journal("service-active", jName{Service: s.Spec.Name})
+				roots[j].EndSpan()
+				m.watchService(s)
+				m.emit(EventServiceActive, s.Spec.Name, "",
+					fmt.Sprintf("switch on %s, policy %s", home, s.Switch.Policy().Name()))
+				m.flog.WithTrace(roots[j].TraceID()).Info("service active",
+					telemetry.L("service", s.Spec.Name),
+					telemetry.L("switch", home))
+			}
+			if onDone != nil {
+				onDone(svcs)
+			}
+		})
+	}
+	admit(0)
+}
+
+// reject counts, journals and announces a refused creation request, then
+// reports err.
+func (m *Master) reject(name string, err error, root *telemetry.Span, onErr func(error)) {
+	m.Rejected++
+	m.rejectedCtr.Inc()
+	m.journal("service-rejected", jName{Service: name})
+	m.emit(EventRejected, name, "", err.Error())
+	m.flog.WithTrace(root.TraceID()).Error("service rejected",
+		telemetry.L("service", name), telemetry.L("error", err.Error()))
+	root.Fail(err)
+	if onErr != nil {
+		onErr(err)
+	}
 }
 
 // primeNodes primes one new virtual service node per placement — the
@@ -536,66 +595,93 @@ func servicePort(spec ServiceSpec) int {
 }
 
 // buildSwitch creates the service switch co-located in the first node
-// (§3.4) and populates the service configuration file.
-func (m *Master) buildSwitch(svc *Service) error {
-	if len(svc.Nodes) == 0 {
-		return fmt.Errorf("soda: service %q has no nodes for a switch", svc.Spec.Name)
+// (§3.4) and populates the service configuration file. The components
+// of a partitioned service share the one switch, homed on the first
+// component's first node, and the one file, their rows tagged by
+// component.
+func (m *Master) buildSwitch(svcs ...*Service) error {
+	lead := svcs[0]
+	if len(lead.Nodes) == 0 {
+		return fmt.Errorf("soda: service %q has no nodes for a switch", lead.Spec.Name)
 	}
-	entries := make([]svcswitch.BackendEntry, len(svc.Nodes))
-	for i, n := range svc.Nodes {
-		entries[i] = svcswitch.BackendEntry{IP: n.IP, Port: n.Port, Capacity: n.Capacity}
+	var entries []svcswitch.BackendEntry
+	for _, svc := range svcs {
+		for _, n := range svc.Nodes {
+			entries = append(entries, svc.entry(n))
+		}
 	}
-	if err := svc.Config.SetEntries(entries); err != nil {
+	cfg := lead.Config
+	if err := cfg.SetEntries(entries); err != nil {
 		return err
 	}
-	if svc.Spec.SLO.Enabled() {
-		if err := svc.Config.SetSLO(svc.Spec.SLO); err != nil {
+	if lead.Spec.SLO.Enabled() {
+		if err := cfg.SetSLO(lead.Spec.SLO); err != nil {
 			return err
 		}
 	}
-	if svc.Spec.Autoscale.Enabled() {
-		svc.Config.SetAutoscale(svc.Spec.Autoscale.String())
+	if lead.Spec.Autoscale.Enabled() {
+		cfg.SetAutoscale(lead.Spec.Autoscale.String())
 	}
-	home := &appsvc.GuestBackend{G: svc.Nodes[0].Guest}
-	svc.Switch = svcswitch.New(m.net, home, svc.Config)
+	home := &appsvc.GuestBackend{G: lead.Nodes[0].Guest}
+	sw := svcswitch.New(m.net, home, cfg)
 	if m.reg != nil {
-		svc.Switch.Instrument(m.reg)
+		sw.Instrument(m.reg)
 	}
 	if m.flog != nil {
-		svc.Switch.SetLogger(m.flog.Component("switch", telemetry.L("service", svc.Spec.Name)))
+		sw.SetLogger(m.flog.Component("switch", telemetry.L("service", lead.Spec.Name)))
 	}
 	if m.reqTraces != nil {
-		c := m.reqTraces.Collector(svc.Spec.Name)
-		if slo := svc.Config.SLO(); slo.LatencyTarget > 0 {
+		c := m.reqTraces.Collector(lead.Spec.Name)
+		if slo := cfg.SLO(); slo.LatencyTarget > 0 {
 			c.SetSlowThreshold(slo.LatencyTarget)
 		}
-		svc.Switch.SetRequestTracer(c)
+		sw.SetRequestTracer(c)
 	}
-	if svc.Spec.SwitchPolicy != nil {
-		svc.Switch.SetPolicy(svc.Spec.SwitchPolicy)
+	if lead.Spec.SwitchPolicy != nil {
+		sw.SetPolicy(lead.Spec.SwitchPolicy)
 	}
 	if m.health != nil {
-		svc.Switch.SetHealth(svcswitch.HealthConfig{
+		sw.SetHealth(svcswitch.HealthConfig{
 			EjectAfter: m.health.cfg.EjectAfter,
 			ProbeAfter: m.health.cfg.ProbeAfter,
 		})
 	}
-	for _, n := range svc.Nodes {
-		svc.bind(n)
+	for _, svc := range svcs {
+		svc.Switch = sw
+		for _, n := range svc.Nodes {
+			svc.bind(n)
+		}
+		m.homeSwitch(svc, svc.Nodes[0].NodeName)
 	}
-	m.homeSwitch(svc, svc.Nodes[0].NodeName)
 	return nil
 }
 
+// componentTag is the tag a service's rows carry in the configuration
+// file named file: none for a plain service, whose file bears its own
+// name, and "catalog" for component "shop/catalog" of the partitioned
+// service "shop".
+func componentTag(service, file string) string {
+	if service == file {
+		return ""
+	}
+	return strings.TrimPrefix(service, file+"/")
+}
+
+// entry is a node's row in the service configuration file, tagged with
+// the service's component.
+func (s *Service) entry(n NodeInfo) svcswitch.BackendEntry {
+	return svcswitch.BackendEntry{IP: n.IP, Port: n.Port, Capacity: n.Capacity, Component: s.component}
+}
+
 // bind wires a node's request handling (Spec.Behavior) into the
-// service switch. A partitioned component has no switch of its own; its
-// nodes are bound to the shared one by buildPartitionedSwitch.
+// service switch under the node's row — for a partitioned component,
+// the switch its sibling components share.
 func (s *Service) bind(n NodeInfo) {
 	if s.Spec.Behavior == nil || s.Switch == nil {
 		return
 	}
 	if h := s.Spec.Behavior(n.Guest); h != nil {
-		s.Switch.Bind(svcswitch.BackendEntry{IP: n.IP, Port: n.Port, Capacity: n.Capacity}, h)
+		s.Switch.Bind(s.entry(n), h)
 	}
 }
 

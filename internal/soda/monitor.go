@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/simnet"
-	"repro/internal/svcswitch"
 )
 
 // The paper's §1 promise: "staff of the bioinformatics institute should
@@ -96,7 +95,7 @@ func (m *Master) Status(name string) (*ServiceStatus, error) {
 			ns.ProcessTable = n.Guest.PS()
 		}
 		if svc.Switch != nil {
-			sw := svc.Switch.StatsFor(svcswitch.BackendEntry{IP: n.IP, Port: n.Port, Capacity: n.Capacity})
+			sw := svc.Switch.StatsFor(svc.entry(n))
 			ns.Forwarded, ns.Active = sw.Forwarded, sw.Active
 		}
 		st.Nodes = append(st.Nodes, ns)

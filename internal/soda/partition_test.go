@@ -1,9 +1,12 @@
 package soda_test
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/accounting"
 	"repro/internal/appsvc"
 	"repro/internal/hup"
 	"repro/internal/sim"
@@ -210,5 +213,214 @@ func TestPartitionedTeardown(t *testing.T) {
 	}
 	if len(tb.Master.Services()) != 0 {
 		t.Fatalf("services remain: %v", tb.Master.Services())
+	}
+}
+
+// A crashed component node is healed like any service's node: its row
+// leaves the shared file, the replacement is bound into the shared
+// switch, and the component's traffic is served without retries.
+func TestPartitionedComponentHeals(t *testing.T) {
+	tb := newTestbed(t)
+	tb.EnableSelfHealing(fastDetector())
+	ps, catalogWD, _ := createPartitioned(t, tb)
+	catalog := ps.Components["catalog"]
+	if err := crashAndRecover(tb, catalog, catalog.Nodes[len(catalog.Nodes)-1]); err != nil {
+		t.Fatal(err)
+	}
+
+	live := map[string]int{}
+	for _, n := range catalog.Nodes {
+		if !n.Guest.Alive() {
+			t.Fatalf("catalog node %s not running after recovery", n.NodeName)
+		}
+		live[string(n.IP)] = n.Capacity
+	}
+	rows := ps.Config.EntriesFor("catalog")
+	if len(rows) != len(live) {
+		t.Fatalf("catalog rows %v, live nodes %v", rows, live)
+	}
+	for _, e := range rows {
+		if c, ok := live[string(e.IP)]; !ok || c != e.Capacity {
+			t.Fatalf("catalog row %+v is not a live node (live %v)", e, live)
+		}
+	}
+
+	client := tb.AddClient()
+	retried := ps.Switch.Retried()
+	for i := 0; i < 40; i++ {
+		if err := ps.Switch.Route(svcswitch.Request{
+			ClientIP: client, Bytes: workload.RequestBytes, Component: "catalog",
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tb.K.RunFor(10 * sim.Second)
+	served := 0
+	for _, node := range catalogWD.Nodes() {
+		served += catalogWD.Service(node).Served
+	}
+	if served != 40 || ps.Switch.Retried() != retried {
+		t.Fatalf("served %d of 40 catalog requests, %d retried", served, ps.Switch.Retried()-retried)
+	}
+}
+
+// ResizeService resizes one component through the shared file: the
+// component's rows carry the new capacity and its traffic follows them.
+func TestPartitionedComponentResizes(t *testing.T) {
+	tb := newTestbed(t)
+	ps, _, _ := createPartitioned(t, tb)
+	var rerr error
+	done := false
+	tb.Master.ResizeService("storefront/catalog", 3,
+		func(*soda.Service) { done = true },
+		func(err error) { rerr, done = err, true })
+	for !done && tb.K.Pending() > 0 {
+		tb.K.RunFor(sim.Second)
+	}
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if got := ps.Components["catalog"].TotalCapacity(); got != 3 {
+		t.Fatalf("catalog capacity = %d, want 3", got)
+	}
+	rows := ps.Config.EntriesFor("catalog")
+	total := 0
+	for _, e := range rows {
+		total += e.Capacity
+	}
+	if total != 3 {
+		t.Fatalf("catalog rows %v total %d, want 3", rows, total)
+	}
+	if got := ps.Components["checkout"].TotalCapacity(); got != 1 {
+		t.Fatalf("checkout capacity = %d after resizing catalog", got)
+	}
+
+	client := tb.AddClient()
+	for i := 0; i < 30; i++ {
+		if err := ps.Switch.Route(svcswitch.Request{
+			ClientIP: client, Bytes: workload.RequestBytes, Component: "catalog",
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tb.K.RunFor(10 * sim.Second)
+	for _, e := range rows {
+		if got, want := ps.Switch.StatsFor(e).Forwarded, 10*e.Capacity; got != want {
+			t.Fatalf("row %s (capacity %d) forwarded %d of 30, want %d", e.IP, e.Capacity, got, want)
+		}
+	}
+}
+
+// Every component is metered, against its own reservation.
+func TestPartitionedComponentsMetered(t *testing.T) {
+	tb := newTestbed(t)
+	tb.EnableAccounting(accounting.Options{})
+	ps, _, _ := createPartitioned(t, tb)
+	tb.K.RunFor(5 * sim.Second)
+	usage := map[string]accounting.Usage{}
+	for _, comp := range ps.ComponentNames() {
+		u, ok := tb.Master.UsageTotals(ps.Components[comp].Spec.Name)
+		if !ok {
+			t.Fatalf("component %s is not metered", comp)
+		}
+		usage[comp] = u
+	}
+	// catalog reserves two instances of M, checkout one.
+	if c, k := usage["catalog"].MemMBSeconds, usage["checkout"].MemMBSeconds; k <= 0 || math.Abs(c-2*k) > 0.01*c {
+		t.Fatalf("reserved memory catalog %.0f MB·s, checkout %.0f MB·s; want 2:1", c, k)
+	}
+}
+
+// Creating and tearing down a partitioned service keeps the journal's
+// replay equal to the live state at every compaction cadence.
+func TestPartitionedJournalReplayMatchesLive(t *testing.T) {
+	for _, every := range []int{1, 2, 3, 64} {
+		t.Run(fmt.Sprintf("SnapshotEvery=%d", every), func(t *testing.T) {
+			tb := newTestbed(t)
+			if _, err := tb.EnableHA(soda.HAConfig{SnapshotEvery: every}); err != nil {
+				t.Fatal(err)
+			}
+			check := func(step string) {
+				t.Helper()
+				live := tb.Cluster.Leader().StateDigest()
+				replayed, rep := soda.ReplayDigest(tb.Cluster.Journal().Bytes())
+				if replayed != live {
+					t.Fatalf("after %s: replayed digest %.16s != live digest %.16s after %d record(s)",
+						step, replayed, live, rep.Records)
+				}
+			}
+			ps, _, _ := createPartitioned(t, tb)
+			check("create")
+			if err := tb.Master.TeardownPartitionedService(ps); err != nil {
+				t.Fatal(err)
+			}
+			check("teardown")
+		})
+	}
+}
+
+// After a control-plane takeover the new leader's components share the
+// partitioned service's switch and file again, so they resize, are
+// metered and heal as before the crash.
+func TestPartitionedTakeoverRestoresComponents(t *testing.T) {
+	tb := newTestbed(t)
+	if _, err := tb.EnableHA(fastHA()); err != nil {
+		t.Fatal(err)
+	}
+	tb.EnableAccounting(accounting.Options{})
+	tb.EnableSelfHealing(fastDetector())
+	ps, _, _ := createPartitioned(t, tb)
+	tb.K.RunFor(sim.Second)
+	tb.Cluster.HaltLeader()
+	tb.K.RunFor(3 * sim.Second)
+	if len(tb.Cluster.Failovers()) != 1 {
+		t.Fatalf("%d failover(s), want 1", len(tb.Cluster.Failovers()))
+	}
+	nl := tb.Cluster.Leader()
+	for _, comp := range ps.ComponentNames() {
+		svc, ok := nl.Service("storefront/" + comp)
+		if !ok || svc.Switch != ps.Switch || svc.Config != ps.Config {
+			t.Fatalf("component %s not restored onto the shared switch and file", comp)
+		}
+		if got, want := svc.TotalCapacity(), ps.Components[comp].Spec.Requirement.N; got != want {
+			t.Fatalf("component %s capacity = %d, want %d", comp, got, want)
+		}
+		if _, ok := nl.UsageTotals(svc.Spec.Name); !ok {
+			t.Fatalf("component %s not metered after takeover", comp)
+		}
+	}
+
+	var rerr error
+	done := false
+	nl.ResizeService("storefront/catalog", 3,
+		func(*soda.Service) { done = true },
+		func(err error) { rerr, done = err, true })
+	for i := 0; !done && i < 100; i++ {
+		tb.K.RunFor(sim.Second)
+	}
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	catalog, _ := nl.Service("storefront/catalog")
+	catalog.Nodes[len(catalog.Nodes)-1].Guest.Crash("test")
+	tb.K.RunFor(20 * sim.Second)
+	if recs := nl.Recoveries(); len(recs) != 1 || !recs[0].OK {
+		t.Fatalf("recoveries after a crash on the new leader: %+v", recs)
+	}
+	client := tb.AddClient()
+	retried := ps.Switch.Retried()
+	for i := 0; i < 30; i++ {
+		if err := ps.Switch.Route(svcswitch.Request{
+			ClientIP: client, Bytes: workload.RequestBytes, Component: "catalog",
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tb.K.RunFor(10 * sim.Second)
+	if got := ps.Switch.Retried() - retried; got != 0 || catalog.TotalCapacity() != 3 {
+		t.Fatalf("after takeover, resize and heal: %d retried, catalog capacity %d", got, catalog.TotalCapacity())
+	}
+	if replayed, _ := soda.ReplayDigest(tb.Cluster.Journal().Bytes()); replayed != nl.StateDigest() {
+		t.Fatal("replayed digest != live digest after takeover")
 	}
 }

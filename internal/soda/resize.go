@@ -85,7 +85,7 @@ func (m *Master) shrink(svc *Service, delta int) error {
 		newCap := n.Capacity - trim
 		nodeName := n.NodeName
 		d := m.daemons[svc.nodeDaemon[nodeName]]
-		entry := svcswitch.BackendEntry{IP: n.IP, Port: n.Port, Capacity: n.Capacity}
+		entry := svc.entry(*n)
 		if newCap == 0 {
 			svc.Switch.Unbind(entry)
 			if err := d.TeardownAs(m.epoch, nodeName); err != nil {
@@ -186,8 +186,10 @@ func (m *Master) placeFresh(svc *Service, n int) ([]Placement, error) {
 	return AllocateWith(m.Strategy, avail, Requirement{N: n, M: svc.Spec.Requirement.M}, m.Factor)
 }
 
-// refreshConfig rewrites the service configuration file from the node
-// list (stable order: switch home first, then by name).
+// refreshConfig rewrites the service's rows of its configuration file
+// from the node list (stable order: switch home first, then by name). A
+// component's rows are replaced where they stand; the rows of the other
+// components sharing the file are kept.
 func (m *Master) refreshConfig(svc *Service) {
 	nodes := append([]NodeInfo(nil), svc.Nodes...)
 	if len(nodes) > 1 {
@@ -196,11 +198,23 @@ func (m *Master) refreshConfig(svc *Service) {
 		sort.Slice(rest, func(i, j int) bool { return rest[i].NodeName < rest[j].NodeName })
 		nodes = append([]NodeInfo{head}, rest...)
 	}
-	entries := make([]svcswitch.BackendEntry, len(nodes))
-	for i, n := range nodes {
-		entries[i] = svcswitch.BackendEntry{IP: n.IP, Port: n.Port, Capacity: n.Capacity}
+	var rows []svcswitch.BackendEntry
+	pending := nodes
+	mine := func() {
+		for _, n := range pending {
+			rows = append(rows, svc.entry(n))
+		}
+		pending = nil
 	}
-	if err := svc.Config.SetEntries(entries); err != nil {
+	for _, e := range svc.Config.Entries() {
+		if e.Component == svc.component {
+			mine()
+		} else {
+			rows = append(rows, e)
+		}
+	}
+	mine()
+	if err := svc.Config.SetEntries(rows); err != nil {
 		panic(fmt.Sprintf("soda: invalid refreshed config for %q: %v", svc.Spec.Name, err))
 	}
 	svc.Nodes = nodes

@@ -26,8 +26,7 @@ import (
 // Journal record types:
 //
 //	service-admitted   jService    insert priming service, Admitted++
-//	component-admitted jService    insert priming component (no count)
-//	request-admitted   jName       Admitted++ only (partitioned parent)
+//	                               (one per partitioned component)
 //	service-rejected   jName       Rejected++, drop service if present
 //	service-removed    jName       drop service (rollback)
 //	node-primed        jNodePrimed append node, advance next node ID
@@ -36,7 +35,8 @@ import (
 //	node-resized       jNodeRef    set node capacity
 //	service-active     jName       mark service Active
 //	service-torndown   jName       drop service
-//	switch-homed       jNodeRef    service switch adopted a home node
+//	switch-homed       jNodeRef    service switch adopted a home node (a
+//	                               component: its own first node)
 //	usage-settled      jSettled    record final metered usage
 //	usage-claimed      jName       settled usage consumed by the Agent
 //	chunk-announce     jChunk      holder gained one chunk
@@ -350,14 +350,12 @@ func replayState(recs []journal.Record) *masterState {
 			if json.Unmarshal(rec.Data, &snap) == nil {
 				st = &snap
 			}
-		case "service-admitted", "component-admitted":
+		case "service-admitted":
 			var js jService
 			if json.Unmarshal(rec.Data, &js) != nil {
 				continue
 			}
-			if rec.Type == "service-admitted" {
-				st.Admitted++
-			}
+			st.Admitted++
 			if st.service(js.Name) == nil {
 				st.Services = append(st.Services, jServiceState{jService: js, State: int(Priming)})
 				if js.Autoscale.Enabled() {
@@ -366,8 +364,6 @@ func replayState(recs []journal.Record) *masterState {
 					st.Autoscalers = append(st.Autoscalers, jAutoscalerState{Service: js.Name})
 				}
 			}
-		case "request-admitted":
-			st.Admitted++
 		case "service-rejected":
 			var n jName
 			if json.Unmarshal(rec.Data, &n) == nil {

@@ -30,9 +30,6 @@ type HealthConfig struct {
 type Counters struct {
 	Routed, Dropped, Retried *telemetry.Counter
 	Ejected, Readmitted      *telemetry.Counter
-	// RetryExhausted counts requests dropped while untried backends
-	// remained (a retry cap or idempotency gate stopped the walk).
-	RetryExhausted *telemetry.Counter
 }
 
 // cell is one backend's forwarding statistics and passive health, kept
@@ -253,12 +250,11 @@ func (r *Router[T]) Instrument(reg *telemetry.Registry) {
 		return c
 	}
 	r.Counters = Counters{
-		Routed:         carry("soda_switch_routed_total", r.Routed),
-		Dropped:        carry("soda_switch_dropped_total", r.Dropped),
-		Retried:        carry("soda_switch_retries_total", r.Retried),
-		Ejected:        carry("soda_switch_ejected_total", r.Ejected),
-		Readmitted:     carry("soda_switch_readmitted_total", r.Readmitted),
-		RetryExhausted: carry("soda_switch_retry_exhausted_total", r.RetryExhausted),
+		Routed:     carry("soda_switch_routed_total", r.Routed),
+		Dropped:    carry("soda_switch_dropped_total", r.Dropped),
+		Retried:    carry("soda_switch_retries_total", r.Retried),
+		Ejected:    carry("soda_switch_ejected_total", r.Ejected),
+		Readmitted: carry("soda_switch_readmitted_total", r.Readmitted),
 	}
 	r.reg = reg
 	r.latency = reg.Histogram("soda_switch_latency_seconds", nil, svc)

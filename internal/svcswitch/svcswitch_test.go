@@ -8,6 +8,7 @@ import (
 	"repro/internal/cycles"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/telemetry"
 )
 
 func entries(caps ...int) []BackendEntry {
@@ -262,6 +263,8 @@ func switchFixture(t *testing.T, caps ...int) (*sim.Kernel, *simnet.Network, *Sw
 
 func TestSwitchRoutesAndCounts(t *testing.T) {
 	k, _, sw, ents := switchFixture(t, 2, 1)
+	reg := telemetry.NewRegistry()
+	sw.Instrument(reg)
 	served := make(map[string]int)
 	for _, e := range ents {
 		e := e
@@ -286,6 +289,17 @@ func TestSwitchRoutesAndCounts(t *testing.T) {
 	}
 	if st := sw.StatsFor(ents[0]); st.Forwarded != 20 || st.Active != 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counter("soda_switch_routed_total", telemetry.L("service", "svc")); got != 30 {
+		t.Fatalf("routed series = %d, want 30", got)
+	}
+	// Retry exhaustion is a live-proxy gate; the simulated switch must
+	// not expose a series it can never increment.
+	for _, c := range snap.Counters {
+		if c.Name == "soda_switch_retry_exhausted_total" {
+			t.Fatalf("simulated switch exposes %s", c.Name)
+		}
 	}
 }
 
