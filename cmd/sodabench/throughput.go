@@ -115,8 +115,7 @@ func runThroughput(cfg throughputConfig) (throughputReport, error) {
 	if err := conf.SetEntries(entries); err != nil {
 		return rep, err
 	}
-	tc := realswitch.DefaultTransportConfig()
-	proxy := realswitch.NewWithTransport(conf, tc)
+	proxy := realswitch.New(conf)
 	front := httptest.NewServer(proxy)
 	defer front.Close()
 
@@ -180,7 +179,7 @@ func runThroughput(cfg throughputConfig) (throughputReport, error) {
 		Routed:     proxy.Routed(),
 		Dropped:    proxy.Dropped(),
 		Retried:    proxy.Retried(),
-		IdlePerHos: tc.MaxIdleConnsPerHost,
+		IdlePerHos: realswitch.MaxIdleConnsPerHost,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 	return rep, nil

@@ -51,11 +51,7 @@ func main() {
 	}
 	fmt.Printf("service configuration file (live backends):\n%s\n", cfg.Render())
 
-	// Explicit transport knobs: a big keep-alive pool per backend and a
-	// tight dial timeout, instead of net/http's 2-idle-conns default.
-	tc := repro.DefaultTransportConfig()
-	tc.MaxIdleConnsPerHost = 32
-	proxy := repro.NewLiveProxyWithTransport(cfg, tc)
+	proxy := repro.NewLiveProxy(cfg)
 	front, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -23,8 +23,6 @@ type Options struct {
 	// Tracer, when set, records a span per violation so the event
 	// carries the trace of the window that breached.
 	Tracer *telemetry.Tracer
-	// SamplePeriod is the metering tick (default 1 s).
-	SamplePeriod sim.Duration
 	// EvalPeriod is the SLO evaluation tick (default 10 s).
 	EvalPeriod sim.Duration
 	// Fast and Slow are the burn-rate window pairs; zero values take the
@@ -35,10 +33,10 @@ type Options struct {
 	MinRequests int64
 }
 
+// SamplePeriod is the metering tick the owner drives Sample at.
+const SamplePeriod = sim.Second
+
 func (o Options) withDefaults() Options {
-	if o.SamplePeriod <= 0 {
-		o.SamplePeriod = sim.Second
-	}
 	if o.EvalPeriod <= 0 {
 		o.EvalPeriod = 10 * sim.Second
 	}
@@ -100,10 +98,6 @@ func New(opt Options) *Accountant {
 	}
 	return &Accountant{opt: opt.withDefaults(), services: make(map[string]*svcEntry)}
 }
-
-// SamplePeriod returns the metering tick the owner should drive Sample
-// at.
-func (a *Accountant) SamplePeriod() sim.Duration { return a.opt.SamplePeriod }
 
 // EvalPeriod returns the evaluation tick the owner should drive
 // Evaluate at.

@@ -317,7 +317,7 @@ func TestAccountantWatchEvaluateUnwatch(t *testing.T) {
 		Routed:  func() int64 { return routed },
 		Dropped: func() int64 { return 0 },
 	})
-	k.Every(acct.SamplePeriod(), acct.Sample)
+	k.Every(SamplePeriod, acct.Sample)
 	k.Every(acct.EvalPeriod(), acct.Evaluate)
 	k.Every(sim.Second, func() {
 		for i := 0; i < 20; i++ {

@@ -124,9 +124,9 @@ func BenchmarkRoutingMetered(b *testing.B) {
 					Dropped: func() int64 { return int64(sw.Dropped()) },
 				})
 				// Same combined tick the hup testbed schedules.
-				evalEvery := int(acct.EvalPeriod() / acct.SamplePeriod())
+				evalEvery := int(acct.EvalPeriod() / accounting.SamplePeriod)
 				ticks := 0
-				k.Every(acct.SamplePeriod(), func() {
+				k.Every(accounting.SamplePeriod, func() {
 					acct.Sample()
 					if ticks++; ticks%evalEvery == 0 {
 						acct.Evaluate()

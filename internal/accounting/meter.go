@@ -105,18 +105,10 @@ func (m *Meter) setNodes(refs []NodeRef) {
 	for _, n := range m.nodes {
 		if n.ref.Host != nil {
 			if _, ok := m.hostLast[n.ref.Host]; !ok {
-				m.hostLast[n.ref.Host] = hostTotalCycles(n.ref.Host)
+				m.hostLast[n.ref.Host] = n.ref.Host.TotalCPUCycles()
 			}
 		}
 	}
-}
-
-func hostTotalCycles(h *hostos.Host) float64 {
-	var total float64
-	for _, c := range h.CPUCycles() {
-		total += c
-	}
-	return total
 }
 
 // Sample reads every odometer at time now and folds the deltas into the
@@ -162,7 +154,7 @@ func (m *Meter) Sample(now sim.Time) {
 	// Host utilisation over the interval, for the starvation guard.
 	m.hostBusy = 0
 	for h, last := range m.hostLast {
-		total := hostTotalCycles(h)
+		total := h.TotalCPUCycles()
 		capacity := float64(h.Spec.Clock) * secs
 		if capacity > 0 {
 			if busy := (total - last) / capacity; busy > m.hostBusy {

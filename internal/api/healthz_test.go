@@ -41,15 +41,10 @@ func TestHealthzReportsHARoleAndFailover(t *testing.T) {
 	}
 	tb.EnableSelfHealing(soda.HealthConfig{
 		HeartbeatEvery: 100 * sim.Millisecond,
-		SuspectAfter:   300 * sim.Millisecond,
-		ConfirmAfter:   600 * sim.Millisecond,
-		CheckEvery:     50 * sim.Millisecond,
 	})
 	if _, err := tb.EnableHA(soda.HAConfig{
-		BeatEvery:     100 * sim.Millisecond,
-		TakeoverAfter: 400 * sim.Millisecond,
-		CheckEvery:    50 * sim.Millisecond,
-		ResyncDelay:   50 * sim.Millisecond,
+		BeatEvery:   100 * sim.Millisecond,
+		ResyncDelay: 50 * sim.Millisecond,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -103,11 +103,7 @@ func olympia() hostos.Spec {
 func chaosDetector() soda.HealthConfig {
 	return soda.HealthConfig{
 		HeartbeatEvery: 100 * sim.Millisecond,
-		SuspectAfter:   300 * sim.Millisecond,
-		ConfirmAfter:   600 * sim.Millisecond,
-		CheckEvery:     50 * sim.Millisecond,
 		RetryRecovery:  500 * sim.Millisecond,
-		EjectAfter:     3,
 		ProbeAfter:     200 * sim.Millisecond,
 	}
 }

@@ -82,10 +82,8 @@ type FailoverResult struct {
 // lease beats, takeover after 4 missed, 50 ms resync spread.
 func failoverHA() soda.HAConfig {
 	return soda.HAConfig{
-		BeatEvery:     100 * sim.Millisecond,
-		TakeoverAfter: 400 * sim.Millisecond,
-		CheckEvery:    50 * sim.Millisecond,
-		ResyncDelay:   50 * sim.Millisecond,
+		BeatEvery:   100 * sim.Millisecond,
+		ResyncDelay: 50 * sim.Millisecond,
 	}
 }
 

@@ -30,10 +30,9 @@ func (c *manualClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func newTestRecorder(opt Options) (*Recorder, *manualClock) {
+func newTestRecorder() (*Recorder, *manualClock) {
 	clk := &manualClock{}
-	opt.Clock = clk.Now
-	return NewRecorder(opt), clk
+	return NewRecorder(Options{Clock: clk.Now}), clk
 }
 
 func TestNilLoggerAndRecorderAreNoOps(t *testing.T) {
@@ -68,32 +67,33 @@ func TestNilLoggerAndRecorderAreNoOps(t *testing.T) {
 }
 
 func TestRingWraparound(t *testing.T) {
-	rec, clk := newTestRecorder(Options{Capacity: 8})
+	rec, clk := newTestRecorder()
 	log := NewLogger(rec).Component("test")
-	for i := 0; i < 20; i++ {
+	const over = 12
+	for i := 0; i < ringCapacity+over; i++ {
 		clk.Advance(time.Millisecond)
 		log.Infof("msg-%d", i)
 	}
-	if got := rec.Seq(); got != 20 {
-		t.Fatalf("Seq = %d, want 20", got)
+	if got := rec.Seq(); got != ringCapacity+over {
+		t.Fatalf("Seq = %d, want %d", got, ringCapacity+over)
 	}
-	tail := rec.Tail(100, LevelDebug, "")
-	if len(tail) != 8 {
-		t.Fatalf("Tail returned %d records, want ring capacity 8", len(tail))
+	tail := rec.Tail(2*ringCapacity, LevelDebug, "")
+	if len(tail) != ringCapacity {
+		t.Fatalf("Tail returned %d records, want ring capacity %d", len(tail), ringCapacity)
 	}
 	for i, rv := range tail {
-		want := fmt.Sprintf("msg-%d", 12+i)
+		want := fmt.Sprintf("msg-%d", over+i)
 		if rv.Msg != want {
-			t.Errorf("tail[%d].Msg = %q, want %q", i, rv.Msg, want)
+			t.Fatalf("tail[%d].Msg = %q, want %q", i, rv.Msg, want)
 		}
-		if rv.Seq != uint64(12+i) {
-			t.Errorf("tail[%d].Seq = %d, want %d", i, rv.Seq, 12+i)
+		if rv.Seq != uint64(over+i) {
+			t.Fatalf("tail[%d].Seq = %d, want %d", i, rv.Seq, over+i)
 		}
 	}
 }
 
 func TestTailFilters(t *testing.T) {
-	rec, clk := newTestRecorder(Options{Capacity: 32})
+	rec, clk := newTestRecorder()
 	root := NewLogger(rec)
 	a, b := root.Component("alpha"), root.Component("beta")
 	clk.Advance(time.Second)
@@ -110,7 +110,7 @@ func TestTailFilters(t *testing.T) {
 }
 
 func TestMinLevelAndLabels(t *testing.T) {
-	rec, _ := newTestRecorder(Options{})
+	rec, _ := newTestRecorder()
 	log := NewLogger(rec)
 	log.SetMinLevel(LevelWarn)
 	log.Info("dropped")
@@ -134,9 +134,10 @@ func TestMinLevelAndLabels(t *testing.T) {
 }
 
 func TestConcurrentWriters(t *testing.T) {
-	rec, _ := newTestRecorder(Options{Capacity: 64})
+	rec, _ := newTestRecorder()
 	root := NewLogger(rec)
-	const writers, each = 8, 500
+	// Enough records to wrap the ring while the writers race.
+	const writers, each = 8, ringCapacity / 4
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -165,7 +166,7 @@ func TestConcurrentWriters(t *testing.T) {
 }
 
 func TestTriggerDedupAndCooldown(t *testing.T) {
-	rec, clk := newTestRecorder(Options{Cooldown: 10 * time.Second, PostWindow: time.Second})
+	rec, clk := newTestRecorder()
 	if id := rec.Trigger("host-dead", "tacoma", "lost heartbeats"); id == "" {
 		t.Fatal("first trigger suppressed")
 	}
@@ -183,7 +184,7 @@ func TestTriggerDedupAndCooldown(t *testing.T) {
 		t.Fatalf("Suppressed = %d, want 1", got)
 	}
 	// After the cooldown the same key fires again.
-	clk.Advance(11 * time.Second)
+	clk.Advance(cooldown + time.Second)
 	rec.Tick() // seals the three open incidents
 	if id := rec.Trigger("host-dead", "tacoma", "flapped back"); id == "" {
 		t.Fatal("trigger after cooldown suppressed")
@@ -201,18 +202,21 @@ func TestIncidentCaptureWindow(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	clk := &manualClock{}
 	rec := NewRecorder(Options{
-		Clock:      clk.Now,
-		PreRecords: 2,
-		PostWindow: 5 * time.Second,
-		Metrics:    reg.Snapshot,
-		Routes:     func() []RouteTable { return []RouteTable{{Service: "web", Table: "v1"}} },
-		Faults:     func() []string { return []string{"host-crash tacoma"} },
+		Clock:   clk.Now,
+		Metrics: reg.Snapshot,
+		Routes:  func() []RouteTable { return []RouteTable{{Service: "web", Table: "v1"}} },
+		Faults:  func() []string { return []string{"host-crash tacoma"} },
 	})
 	log := NewLogger(rec).Component("test")
 	reg.Counter("requests").Add(3)
-	log.Info("before-1")
-	log.Info("before-2")
-	log.Info("before-3")
+	// One record more than the pre-trigger context holds.
+	var want []string
+	for i := 1; i <= preRecords+1; i++ {
+		log.Infof("before-%d", i)
+		if i > 1 {
+			want = append(want, fmt.Sprintf("before-%d", i))
+		}
+	}
 
 	clk.Advance(time.Second)
 	id := rec.Trigger("host-suspected", "tacoma", "missed 3 heartbeats")
@@ -221,13 +225,13 @@ func TestIncidentCaptureWindow(t *testing.T) {
 	}
 	reg.Counter("requests").Add(4)
 	log.Warn("during")
-	clk.Advance(3 * time.Second)
+	clk.Advance(postWindow - time.Second)
 	log.Info("still-during")
 	rec.Tick() // not yet due
 	if got := rec.Incident(id); got == nil || !got.Open {
 		t.Fatalf("incident should still be open: %+v", got)
 	}
-	clk.Advance(3 * time.Second)
+	clk.Advance(2 * time.Second)
 	log.Info("after-deadline") // past the window: not captured
 	rec.Tick()
 
@@ -239,7 +243,7 @@ func TestIncidentCaptureWindow(t *testing.T) {
 	for _, rv := range inc.Records {
 		msgs = append(msgs, rv.Msg)
 	}
-	want := []string{"before-2", "before-3", "during", "still-during"}
+	want = append(want, "during", "still-during")
 	if strings.Join(msgs, ",") != strings.Join(want, ",") {
 		t.Fatalf("records = %v, want %v", msgs, want)
 	}
@@ -252,8 +256,8 @@ func TestIncidentCaptureWindow(t *testing.T) {
 	if len(inc.Faults) != 1 {
 		t.Fatalf("faults = %+v", inc.Faults)
 	}
-	if inc.SealedSec != 7 {
-		t.Fatalf("sealed at %vs, want 7s", inc.SealedSec)
+	if sealed := (postWindow + 2*time.Second).Seconds(); inc.SealedSec != sealed {
+		t.Fatalf("sealed at %vs, want %vs", inc.SealedSec, sealed)
 	}
 
 	// Sealed bundles marshal deterministically.
@@ -268,22 +272,37 @@ func TestIncidentCaptureWindow(t *testing.T) {
 }
 
 func TestIncidentRecordCap(t *testing.T) {
-	rec, clk := newTestRecorder(Options{PreRecords: 1, PostWindow: time.Minute, MaxIncidentRecords: 5})
+	rec, clk := newTestRecorder()
 	log := NewLogger(rec)
 	rec.Trigger("manual", "", "")
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxIncidentRecords+5; i++ {
 		clk.Advance(time.Millisecond)
 		log.Info("x")
 	}
 	rec.SealAll()
 	inc := rec.Incidents()[0]
-	if len(inc.Records) != 5 || inc.Truncated != 5 {
-		t.Fatalf("records=%d truncated=%d, want 5/5", len(inc.Records), inc.Truncated)
+	if len(inc.Records) != maxIncidentRecords || inc.Truncated != 5 {
+		t.Fatalf("records=%d truncated=%d, want %d/5", len(inc.Records), inc.Truncated, maxIncidentRecords)
+	}
+}
+
+func TestSealedIncidentsEvictOldestFirst(t *testing.T) {
+	rec, _ := newTestRecorder()
+	for i := 0; i < maxIncidents+2; i++ {
+		rec.Trigger("manual", fmt.Sprint(i), "")
+	}
+	rec.SealAll()
+	incs := rec.Incidents()
+	if len(incs) != maxIncidents {
+		t.Fatalf("retained %d incidents, want %d", len(incs), maxIncidents)
+	}
+	if incs[0].ID != "inc-3-manual" || incs[len(incs)-1].Subject != fmt.Sprint(maxIncidents+1) {
+		t.Fatalf("retained %s..%s, want the newest %d", incs[0].ID, incs[len(incs)-1].ID, maxIncidents)
 	}
 }
 
 func TestSteadyStateLoggingDoesNotAllocate(t *testing.T) {
-	rec, _ := newTestRecorder(Options{Capacity: 128})
+	rec, _ := newTestRecorder()
 	log := NewLogger(rec).Component("hot", telemetry.L("service", "web")).WithTrace(3)
 	if allocs := testing.AllocsPerRun(1000, func() { log.Info("steady") }); allocs != 0 {
 		t.Fatalf("steady-state log allocates %.1f objects/op, want 0", allocs)

@@ -29,10 +29,10 @@ type Incident struct {
 	// Open marks an incident still collecting its post window.
 	Open bool `json:"open,omitempty"`
 
-	// Records is the pre-trigger context (up to Options.PreRecords) plus
+	// Records is the pre-trigger context (up to 256 records) plus
 	// everything captured until the post window closed, in order.
 	Records []RecordView `json:"records"`
-	// Truncated counts records dropped after MaxIncidentRecords.
+	// Truncated counts records dropped past the 1024-record cap.
 	Truncated int `json:"truncated_records,omitempty"`
 	// Spans holds the root span trees overlapping the capture window —
 	// the triggering operation's subtree among them.

@@ -17,37 +17,12 @@ type RouteTable struct {
 	Table   string `json:"table"`
 }
 
-// Options configures a Recorder. Zero values get sensible defaults; only
-// Clock is required.
+// Options configures a Recorder. Only Clock is required.
 type Options struct {
 	// Clock supplies record timestamps as offsets from a fixed epoch —
 	// the simulation kernel's virtual clock under test, wall time in a
 	// live sodad. Required.
 	Clock func() time.Duration
-
-	// Capacity is the ring size in records (default 4096).
-	Capacity int
-	// MinLevel drops records below this level at the ring (default
-	// LevelDebug: keep everything the loggers pass).
-	MinLevel Level
-	// PreRecords is how many records of pre-trigger context an incident
-	// copies out of the ring (default 256).
-	PreRecords int
-	// PostWindow is how long past the trigger an incident keeps
-	// collecting before it seals (default 15s). It must comfortably cover
-	// the platform's detection-to-recovery time so one bundle tells the
-	// whole story.
-	PostWindow time.Duration
-	// Cooldown suppresses repeat triggers with the same (trigger,
-	// subject) key (default 30s) so a flapping host does not flood the
-	// incident store.
-	Cooldown time.Duration
-	// MaxIncidents bounds retained sealed incidents; the oldest are
-	// evicted first (default 32).
-	MaxIncidents int
-	// MaxIncidentRecords bounds the records captured into one incident
-	// (default 1024); overflow increments the bundle's Truncated count.
-	MaxIncidentRecords int
 
 	// Metrics, Spans, Routes, Faults, and Traces supply forensic context
 	// for incident bundles. All are optional. Metrics is called at
@@ -64,30 +39,28 @@ type Options struct {
 	Traces func(trigger, subject string) []reqtrace.Record
 }
 
-func (o Options) withDefaults() Options {
-	if o.Clock == nil {
-		panic("flight: Options.Clock is required")
-	}
-	if o.Capacity <= 0 {
-		o.Capacity = 4096
-	}
-	if o.PreRecords <= 0 {
-		o.PreRecords = 256
-	}
-	if o.PostWindow <= 0 {
-		o.PostWindow = 15 * time.Second
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = 30 * time.Second
-	}
-	if o.MaxIncidents <= 0 {
-		o.MaxIncidents = 32
-	}
-	if o.MaxIncidentRecords <= 0 {
-		o.MaxIncidentRecords = 1024
-	}
-	return o
-}
+// The recorder's bounds.
+const (
+	// ringCapacity is the ring size in records.
+	ringCapacity = 4096
+	// preRecords is how many records of pre-trigger context an incident
+	// copies out of the ring.
+	preRecords = 256
+	// postWindow is how long past the trigger an incident keeps
+	// collecting before it seals. It must comfortably cover the
+	// platform's detection-to-recovery time so one bundle tells the
+	// whole story.
+	postWindow = 15 * time.Second
+	// cooldown suppresses repeat triggers with the same (trigger,
+	// subject) key so a flapping host does not flood the incident store.
+	cooldown = 30 * time.Second
+	// maxIncidents bounds retained sealed incidents; the oldest are
+	// evicted first.
+	maxIncidents = 32
+	// maxIncidentRecords bounds the records captured into one incident;
+	// overflow increments the bundle's Truncated count.
+	maxIncidentRecords = 1024
+)
 
 // openIncident is an incident between trigger and seal: it accumulates
 // every record appended to the ring until its deadline passes.
@@ -120,10 +93,12 @@ type Recorder struct {
 // NewRecorder returns a recorder with the given options. Panics if
 // opt.Clock is nil.
 func NewRecorder(opt Options) *Recorder {
-	opt = opt.withDefaults()
+	if opt.Clock == nil {
+		panic("flight: Options.Clock is required")
+	}
 	return &Recorder{
 		opt:      opt,
-		ring:     make([]Record, opt.Capacity),
+		ring:     make([]Record, ringCapacity),
 		lastFire: make(map[string]time.Duration),
 	}
 }
@@ -133,10 +108,6 @@ func NewRecorder(opt Options) *Recorder {
 // construction there).
 func (r *Recorder) append(rec *Record) {
 	r.mu.Lock()
-	if rec.Level < r.opt.MinLevel {
-		r.mu.Unlock()
-		return
-	}
 	rec.Seq = r.seq
 	r.ring[r.seq%uint64(len(r.ring))] = *rec
 	r.seq++
@@ -144,7 +115,7 @@ func (r *Recorder) append(rec *Record) {
 		if rec.At > oi.deadline {
 			continue
 		}
-		if len(oi.inc.Records) >= r.opt.MaxIncidentRecords {
+		if len(oi.inc.Records) >= maxIncidentRecords {
 			oi.inc.Truncated++
 			continue
 		}
@@ -246,9 +217,9 @@ func (r *Recorder) LastSnapshot() (telemetry.Snapshot, time.Duration) {
 // Trigger opens an incident named by trigger (the event kind or "manual")
 // and subject (the service or node concerned). It copies the pre-trigger
 // context out of the ring immediately and keeps collecting records until
-// PostWindow elapses; Tick then seals the bundle. Repeat triggers with
-// the same (trigger, subject) inside Cooldown are suppressed. It returns
-// the incident ID, or "" when suppressed or on a nil recorder.
+// the post window elapses; Tick then seals the bundle. Repeat triggers
+// with the same (trigger, subject) inside the cooldown are suppressed. It
+// returns the incident ID, or "" when suppressed or on a nil recorder.
 //
 // Trigger is safe to call from event observers: it touches only the
 // recorder mutex and the Metrics provider (registry locks), never the
@@ -261,7 +232,7 @@ func (r *Recorder) Trigger(trigger, subject, detail string) string {
 	key := trigger + "/" + subject
 
 	r.mu.Lock()
-	if last, ok := r.lastFire[key]; ok && now-last < r.opt.Cooldown {
+	if last, ok := r.lastFire[key]; ok && now-last < cooldown {
 		r.suppressed++
 		r.mu.Unlock()
 		return ""
@@ -275,9 +246,9 @@ func (r *Recorder) Trigger(trigger, subject, detail string) string {
 		Detail:    detail,
 		OpenedSec: now.Seconds(),
 		Open:      true,
-		Records:   r.tailLocked(r.opt.PreRecords),
+		Records:   r.tailLocked(preRecords),
 	}
-	oi := &openIncident{inc: inc, deadline: now + r.opt.PostWindow}
+	oi := &openIncident{inc: inc, deadline: now + postWindow}
 	r.open = append(r.open, oi)
 	r.mu.Unlock()
 
@@ -363,7 +334,7 @@ func (r *Recorder) seal(oi *openIncident, now time.Duration) {
 		inc.MetricDelta = &delta
 	}
 	if r.opt.Spans != nil {
-		inc.Spans = spansInWindow(r.opt.Spans(), inc.OpenedSec-r.opt.PostWindow.Seconds(), inc.SealedSec)
+		inc.Spans = spansInWindow(r.opt.Spans(), inc.OpenedSec-postWindow.Seconds(), inc.SealedSec)
 	}
 	if r.opt.Routes != nil {
 		inc.Routes = r.opt.Routes()
@@ -376,7 +347,7 @@ func (r *Recorder) seal(oi *openIncident, now time.Duration) {
 	}
 	r.mu.Lock()
 	r.sealed = append(r.sealed, inc)
-	if over := len(r.sealed) - r.opt.MaxIncidents; over > 0 {
+	if over := len(r.sealed) - maxIncidents; over > 0 {
 		r.sealed = append([]*Incident(nil), r.sealed[over:]...)
 	}
 	r.mu.Unlock()

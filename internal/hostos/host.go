@@ -6,8 +6,11 @@
 package hostos
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/cycles"
@@ -105,9 +108,15 @@ type Host struct {
 	nextResID   int
 
 	// cpuFinished accumulates cycles completed per uid by flows that have
-	// drained; live flows are accounted via Flow.Served at sample time.
-	cpuFinished map[int]float64
-	liveFlows   map[*sim.Flow]int
+	// drained or been killed, and cpuFinishedAll their sum over uids.
+	// cpuLive holds each uid's in-flight CPU flows with their submit
+	// sequence numbers; reads add the flows' Served() in submit order,
+	// since float addition is not associative and map order would make
+	// one state sum to different bits.
+	cpuFinished    map[int]float64
+	cpuFinishedAll float64
+	cpuLive        map[int]map[*sim.Flow]uint64
+	cpuSeq         uint64
 }
 
 // New boots a host with the given spec and CPU scheduler. A nil scheduler
@@ -128,7 +137,7 @@ func New(k *sim.Kernel, spec Spec, scheduler sched.Scheduler) (*Host, error) {
 		reservs:     make(map[int]*Reservation),
 		nextResID:   1,
 		cpuFinished: make(map[int]float64),
-		liveFlows:   make(map[*sim.Flow]int),
+		cpuLive:     make(map[int]map[*sim.Flow]uint64),
 	}
 	h.cpu = sim.NewFluidServer(k, spec.Name+"/cpu", float64(spec.Clock), scheduler)
 	h.diskW = sim.NewFluidServer(k, spec.Name+"/disk-write", spec.DiskWriteMBps*1024*1024, sim.EqualShare{})
@@ -177,22 +186,30 @@ type Process struct {
 	UID  int
 	Name string
 
-	h      *Host
-	meta   sched.FlowMeta // the scheduler's view of every flow the process submits
-	dead   bool
-	flows  map[*sim.Flow]struct{}
-	onKill []func()
+	h     *Host
+	meta  sched.FlowMeta // the scheduler's view of every flow the process submits
+	dead  bool
+	flows map[*sim.Flow]struct{}
+	// cpuLive is the uid's live CPU flow set, Host.cpuLive[UID].
+	cpuLive map[*sim.Flow]uint64
+	onKill  []func()
 }
 
 // Spawn creates a process owned by uid.
 func (h *Host) Spawn(name string, uid int) *Process {
+	live := h.cpuLive[uid]
+	if live == nil {
+		live = make(map[*sim.Flow]uint64)
+		h.cpuLive[uid] = live
+	}
 	p := &Process{
-		PID:   h.nextPID,
-		UID:   uid,
-		Name:  name,
-		h:     h,
-		meta:  sched.FlowMeta{UID: uid, PID: h.nextPID},
-		flows: make(map[*sim.Flow]struct{}),
+		PID:     h.nextPID,
+		UID:     uid,
+		Name:    name,
+		h:       h,
+		meta:    sched.FlowMeta{UID: uid, PID: h.nextPID},
+		flows:   make(map[*sim.Flow]struct{}),
+		cpuLive: live,
 	}
 	h.nextPID++
 	h.procs[p.PID] = p
@@ -228,8 +245,13 @@ func (h *Host) Kill(p *Process) {
 		return
 	}
 	p.dead = true
+	for _, f := range bySubmit(p.cpuLive) {
+		if _, mine := p.flows[f]; mine {
+			h.finishCPU(p.UID, f.Served())
+			delete(p.cpuLive, f)
+		}
+	}
 	for f := range p.flows {
-		h.settleFlowInto(f)
 		h.cpu.Cancel(f)
 		h.diskW.Cancel(f)
 		h.diskR.Cancel(f)
@@ -263,15 +285,6 @@ func (p *Process) Alive() bool { return !p.dead }
 // OnKill registers a callback invoked when the process is killed.
 func (p *Process) OnKill(fn func()) { p.onKill = append(p.onKill, fn) }
 
-// settleFlowInto folds a live CPU flow's partial service into the per-uid
-// account; disk flows are not tracked and pass through unchanged.
-func (h *Host) settleFlowInto(f *sim.Flow) {
-	if uid, ok := h.liveFlows[f]; ok {
-		h.cpuFinished[uid] += f.Served()
-		delete(h.liveFlows, f)
-	}
-}
-
 // Exec schedules a CPU burst of c cycles for the process. onDone fires
 // when the burst completes. Exec on a dead process is a no-op returning
 // nil (the process was killed between scheduling decisions).
@@ -283,14 +296,15 @@ func (p *Process) Exec(c cycles.Cycles, onDone func()) *sim.Flow {
 	var f *sim.Flow
 	f = h.cpu.Submit(p.Name, 1, float64(c), &p.meta, func() {
 		delete(p.flows, f)
-		h.cpuFinished[p.UID] += float64(c)
-		delete(h.liveFlows, f)
+		h.finishCPU(p.UID, float64(c))
+		delete(p.cpuLive, f)
 		if onDone != nil {
 			onDone()
 		}
 	})
 	p.flows[f] = struct{}{}
-	h.liveFlows[f] = p.UID
+	h.cpuSeq++
+	p.cpuLive[f] = h.cpuSeq
 	return f
 }
 
@@ -372,20 +386,44 @@ func (p *Process) readDisk(n int64, seek bool, onDone func()) *sim.Flow {
 
 // --- CPU accounting (Figure 5 instrumentation) ---------------------------
 
-// CPUCycles returns the cumulative cycles consumed per userid up to the
-// current virtual time, including partially served live flows.
-func (h *Host) CPUCycles() map[int]float64 {
-	out := make(map[int]float64, len(h.cpuFinished))
-	for uid, v := range h.cpuFinished {
-		out[uid] = v
+// finishCPU books cycles served by a CPU flow that drained or was killed.
+func (h *Host) finishCPU(uid int, cycles float64) {
+	h.cpuFinished[uid] += cycles
+	h.cpuFinishedAll += cycles
+}
+
+// bySubmit returns the flows of a live set in submit order.
+func bySubmit(live map[*sim.Flow]uint64) []*sim.Flow {
+	if len(live) == 0 {
+		return nil
 	}
-	for f, uid := range h.liveFlows {
-		out[uid] += f.Served()
+	flows := make([]*sim.Flow, 0, len(live))
+	for f := range live {
+		flows = append(flows, f)
 	}
-	return out
+	slices.SortFunc(flows, func(a, b *sim.Flow) int { return cmp.Compare(live[a], live[b]) })
+	return flows
+}
+
+// TotalCPUCycles returns the cumulative cycles consumed by every userid
+// up to the current virtual time, including partially served live flows.
+func (h *Host) TotalCPUCycles() float64 {
+	all := make(map[*sim.Flow]uint64)
+	for _, live := range h.cpuLive {
+		maps.Copy(all, live)
+	}
+	sum := h.cpuFinishedAll
+	for _, f := range bySubmit(all) {
+		sum += f.Served()
+	}
+	return sum
 }
 
 // CPUCyclesFor returns cumulative cycles consumed by one userid.
 func (h *Host) CPUCyclesFor(uid int) float64 {
-	return h.CPUCycles()[uid]
+	sum := h.cpuFinished[uid]
+	for _, f := range bySubmit(h.cpuLive[uid]) {
+		sum += f.Served()
+	}
+	return sum
 }

@@ -340,3 +340,24 @@ func TestMHzOfConversion(t *testing.T) {
 		t.Fatalf("MHzOf(0.5) = %v, want 1300 on seattle", got)
 	}
 }
+
+// TestCPUCyclesDeterministic reads one uid's ledger repeatedly in a single
+// state with six CPU flows in flight. Float addition is not associative,
+// so summing the live flows in map order could return different bits on
+// each read.
+func TestCPUCyclesDeterministic(t *testing.T) {
+	k, h := newSeattle(t, nil)
+	for i := 0; i < 6; i++ {
+		k.After(sim.Duration(i)*7900*sim.Microsecond, func() { h.Spawn("job", 42).Spin() })
+	}
+	k.RunFor(123457 * sim.Microsecond)
+	want := h.CPUCyclesFor(42)
+	for i := 0; i < 2000; i++ {
+		if got := h.CPUCyclesFor(42); got != want {
+			t.Fatalf("read %d: CPUCyclesFor = %x, first read %x", i, math.Float64bits(got), math.Float64bits(want))
+		}
+		if got := h.TotalCPUCycles(); got != want {
+			t.Fatalf("read %d: TotalCPUCycles = %x, CPUCyclesFor %x", i, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+}

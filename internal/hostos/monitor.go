@@ -44,9 +44,8 @@ func NewCPUMonitor(h *Host, period sim.Duration, uids []int, names map[int]strin
 		}
 		m.series[uid] = metrics.NewTimeSeries(name)
 	}
-	start := h.CPUCycles()
 	for _, uid := range m.uids {
-		m.last[uid] = start[uid]
+		m.last[uid] = h.CPUCyclesFor(uid)
 	}
 	m.ticker = h.k.Every(period, m.sample)
 	return m
@@ -59,10 +58,10 @@ func (m *CPUMonitor) sample() {
 		return
 	}
 	capacity := float64(m.h.Spec.Clock) * dt.Seconds()
-	usage := m.h.CPUCycles()
 	for _, uid := range m.uids {
-		delta := usage[uid] - m.last[uid]
-		m.last[uid] = usage[uid]
+		usage := m.h.CPUCyclesFor(uid)
+		delta := usage - m.last[uid]
+		m.last[uid] = usage
 		share := delta / capacity
 		m.series[uid].Record(time.Duration(now), share)
 	}

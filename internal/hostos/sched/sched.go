@@ -74,18 +74,15 @@ func (*FairShare) ClearShare(int) {}
 // Proportional is SODA's coarse-grain proportional-share CPU scheduler:
 // capacity is divided among *userids* in proportion to their configured
 // weights (work-conserving: only userids with runnable work participate),
-// then equally among each userid's runnable processes.
+// then equally among each userid's runnable processes. A userid that
+// never called SetShare (e.g. host-OS system processes) weighs 1.
 type Proportional struct {
 	weights map[int]float64
-	// DefaultWeight applies to userids that never called SetShare
-	// (e.g. host-OS system processes).
-	DefaultWeight float64
 }
 
-// NewProportional returns the SODA scheduler with no configured shares and
-// a default weight of 1.
+// NewProportional returns the SODA scheduler with no configured shares.
 func NewProportional() *Proportional {
-	return &Proportional{weights: make(map[int]float64), DefaultWeight: 1}
+	return &Proportional{weights: make(map[int]float64)}
 }
 
 // Name implements Scheduler.
@@ -129,9 +126,6 @@ func (p *Proportional) Divide(capacity float64, classes []*sim.ShareClass) {
 func (p *Proportional) weightOf(uid int) float64 {
 	if w, ok := p.weights[uid]; ok {
 		return w
-	}
-	if p.DefaultWeight > 0 {
-		return p.DefaultWeight
 	}
 	return 1
 }

@@ -17,11 +17,10 @@ import (
 // two-minute simulated run exercises the full detection pipeline.
 func accountingWindows() accounting.Options {
 	return accounting.Options{
-		SamplePeriod: sim.Second,
-		EvalPeriod:   5 * sim.Second,
-		Fast:         accounting.WindowPair{Short: 10 * sim.Second, Long: 40 * sim.Second, Threshold: 8},
-		Slow:         accounting.WindowPair{Short: 40 * sim.Second, Long: 2 * sim.Minute, Threshold: 4},
-		MinRequests:  20,
+		EvalPeriod:  5 * sim.Second,
+		Fast:        accounting.WindowPair{Short: 10 * sim.Second, Long: 40 * sim.Second, Threshold: 8},
+		Slow:        accounting.WindowPair{Short: 40 * sim.Second, Long: 2 * sim.Minute, Threshold: 4},
+		MinRequests: 20,
 	}
 }
 

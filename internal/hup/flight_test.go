@@ -17,11 +17,7 @@ import (
 func flightDetector() soda.HealthConfig {
 	return soda.HealthConfig{
 		HeartbeatEvery: 100 * sim.Millisecond,
-		SuspectAfter:   300 * sim.Millisecond,
-		ConfirmAfter:   600 * sim.Millisecond,
-		CheckEvery:     50 * sim.Millisecond,
 		RetryRecovery:  500 * sim.Millisecond,
-		EjectAfter:     3,
 		ProbeAfter:     200 * sim.Millisecond,
 	}
 }

@@ -276,12 +276,12 @@ func (tb *Testbed) EnableAccounting(opt accounting.Options) *accounting.Accounta
 	// One combined ticker drives both sampling and evaluation: a single
 	// standing timer keeps the kernel's event heap shallow for the
 	// routing hot path, and evaluations always see a fresh sample.
-	evalEvery := int(acct.EvalPeriod() / acct.SamplePeriod())
+	evalEvery := int(acct.EvalPeriod() / accounting.SamplePeriod)
 	if evalEvery < 1 {
 		evalEvery = 1
 	}
 	ticks := 0
-	k.Every(acct.SamplePeriod(), func() {
+	k.Every(accounting.SamplePeriod, func() {
 		acct.Sample()
 		if ticks++; ticks%evalEvery == 0 {
 			acct.Evaluate()

@@ -129,21 +129,6 @@ func TestQuantilerInterleavedObserveAndQuery(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("value = %d", c.Value())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative Add did not panic")
-		}
-	}()
-	c.Add(-1)
-}
-
 func TestTimeSeriesRecordAndAt(t *testing.T) {
 	ts := NewTimeSeries("cpu")
 	ts.Record(1*time.Second, 0.5)

@@ -171,22 +171,3 @@ func (q *Quantiler) Quantile(p float64) float64 {
 
 // Median returns the 0.5-quantile.
 func (q *Quantiler) Median() float64 { return q.Quantile(0.5) }
-
-// Counter is a monotonically increasing event count.
-type Counter struct {
-	n int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta, which must be non-negative.
-func (c *Counter) Add(delta int64) {
-	if delta < 0 {
-		panic("metrics: negative counter delta")
-	}
-	c.n += delta
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }

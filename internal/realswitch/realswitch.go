@@ -32,48 +32,34 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TransportConfig tunes the shared http.Transport all backend proxies
-// use. The zero value is usable but keeps net/http defaults (notably two
-// idle connections per host, which forces a TCP redial on almost every
-// concurrent request); DefaultTransportConfig is the tuned starting
-// point.
-type TransportConfig struct {
+// The shared backend transport's pool and timeouts. net/http's default of
+// two idle connections per host would force a TCP redial on almost every
+// concurrent request.
+const (
 	// MaxIdleConnsPerHost bounds the kept-alive connection pool per
-	// backend. This is the dominant throughput knob under concurrency.
-	MaxIdleConnsPerHost int
-	// MaxIdleConns bounds the pool across all backends.
-	MaxIdleConns int
-	// DialTimeout bounds TCP connection establishment.
-	DialTimeout time.Duration
-	// ResponseHeaderTimeout bounds the wait for a backend's response
-	// headers; 0 means no limit.
-	ResponseHeaderTimeout time.Duration
-	// IdleConnTimeout closes kept-alive connections idle this long.
-	IdleConnTimeout time.Duration
-}
+	// backend, the dominant throughput knob under concurrency.
+	MaxIdleConnsPerHost = 64
+	// maxIdleConns bounds the pool across all backends.
+	maxIdleConns = 512
+	// dialTimeout bounds TCP connection establishment.
+	dialTimeout = 5 * time.Second
+	// responseHeaderTimeout bounds the wait for a backend's response
+	// headers.
+	responseHeaderTimeout = 30 * time.Second
+	// idleConnTimeout closes kept-alive connections idle this long.
+	idleConnTimeout = 90 * time.Second
+)
 
-// DefaultTransportConfig returns the tuned transport settings the proxy
-// uses unless told otherwise.
-func DefaultTransportConfig() TransportConfig {
-	return TransportConfig{
-		MaxIdleConnsPerHost:   64,
-		MaxIdleConns:          512,
-		DialTimeout:           5 * time.Second,
-		ResponseHeaderTimeout: 30 * time.Second,
-		IdleConnTimeout:       90 * time.Second,
-	}
-}
-
-// transport materialises the config into a shared http.Transport.
-func (c TransportConfig) transport() *http.Transport {
-	d := &net.Dialer{Timeout: c.DialTimeout, KeepAlive: 30 * time.Second}
+// newTransport returns the shared http.Transport all backend proxies use.
+func newTransport() *http.Transport {
+	d := &net.Dialer{Timeout: dialTimeout, KeepAlive: 30 * time.Second}
 	return &http.Transport{
 		Proxy:                 http.ProxyFromEnvironment,
 		DialContext:           d.DialContext,
-		MaxIdleConns:          c.MaxIdleConns,
-		MaxIdleConnsPerHost:   c.MaxIdleConnsPerHost,
-		IdleConnTimeout:       c.IdleConnTimeout,
-		ResponseHeaderTimeout: c.ResponseHeaderTimeout,
+		MaxIdleConns:          maxIdleConns,
+		MaxIdleConnsPerHost:   MaxIdleConnsPerHost,
+		IdleConnTimeout:       idleConnTimeout,
+		ResponseHeaderTimeout: responseHeaderTimeout,
 	}
 }
 
@@ -140,15 +126,10 @@ type Proxy struct {
 // New creates a proxy for the given service configuration with the
 // default weighted-round-robin policy and tuned transport settings.
 func New(config *svcswitch.ConfigFile) *Proxy {
-	return NewWithTransport(config, DefaultTransportConfig())
-}
-
-// NewWithTransport is New with explicit transport settings.
-func NewWithTransport(config *svcswitch.ConfigFile, tc TransportConfig) *Proxy {
 	p := &Proxy{
 		config:         config,
 		proxies:        make(map[string]*httputil.ReverseProxy),
-		transport:      tc.transport(),
+		transport:      newTransport(),
 		retryExhausted: &telemetry.Counter{},
 	}
 	p.r = svcswitch.NewRouter(config, false, p.proxyFor)

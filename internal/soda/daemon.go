@@ -647,8 +647,13 @@ func (d *Daemon) Prime(req PrimeRequest, onDone func(NodeInfo), onErr func(error
 // image disk space, return the IP to the pool, drop the bridge mapping
 // and shaper cap, release the reservation. A node still mid-prime is
 // cancelled instead: the in-flight boot is killed and the prime's own
-// abort path unwinds the slice, the bridged IP, and the RAM disk.
-func (d *Daemon) Teardown(nodeName string) error {
+// abort path unwinds the slice, the bridged IP, and the RAM disk. A
+// Master below the daemon's epoch fence is refused with ErrStaleEpoch.
+func (d *Daemon) Teardown(epoch uint64, nodeName string) error {
+	if epoch < d.fenceEpoch {
+		return fmt.Errorf("soda: %s: teardown of %q at epoch %d < fence %d: %w",
+			d.host.Spec.Name, nodeName, epoch, d.fenceEpoch, ErrStaleEpoch)
+	}
 	if d.crashed {
 		return fmt.Errorf("soda: %s: daemon is down", d.host.Spec.Name)
 	}
@@ -682,8 +687,13 @@ func (d *Daemon) Teardown(nodeName string) error {
 // ResizeNode grows or shrinks an existing node to newInstances machine
 // configurations, adjusting the reservation, the shaper cap, and the
 // scheduler share. The guest keeps running (§3.4: "adjust the resources
-// in the current virtual service nodes").
-func (d *Daemon) ResizeNode(nodeName string, m MachineConfig, newInstances int, factor float64) (NodeInfo, error) {
+// in the current virtual service nodes"). A Master below the daemon's
+// epoch fence is refused with ErrStaleEpoch.
+func (d *Daemon) ResizeNode(epoch uint64, nodeName string, m MachineConfig, newInstances int, factor float64) (NodeInfo, error) {
+	if epoch < d.fenceEpoch {
+		return NodeInfo{}, fmt.Errorf("soda: %s: resize of %q at epoch %d < fence %d: %w",
+			d.host.Spec.Name, nodeName, epoch, d.fenceEpoch, ErrStaleEpoch)
+	}
 	rt, ok := d.nodes[nodeName]
 	if !ok {
 		return NodeInfo{}, fmt.Errorf("soda: %s: no node %q", d.host.Spec.Name, nodeName)
@@ -703,25 +713,6 @@ func (d *Daemon) ResizeNode(nodeName string, m MachineConfig, newInstances int, 
 	}
 	rt.info.Capacity = newInstances
 	return rt.info, nil
-}
-
-// TeardownAs is Teardown under the epoch fence: a stale Master's
-// teardown is refused instead of executed.
-func (d *Daemon) TeardownAs(epoch uint64, nodeName string) error {
-	if epoch < d.fenceEpoch {
-		return fmt.Errorf("soda: %s: teardown of %q at epoch %d < fence %d: %w",
-			d.host.Spec.Name, nodeName, epoch, d.fenceEpoch, ErrStaleEpoch)
-	}
-	return d.Teardown(nodeName)
-}
-
-// ResizeNodeAs is ResizeNode under the epoch fence.
-func (d *Daemon) ResizeNodeAs(epoch uint64, nodeName string, m MachineConfig, newInstances int, factor float64) (NodeInfo, error) {
-	if epoch < d.fenceEpoch {
-		return NodeInfo{}, fmt.Errorf("soda: %s: resize of %q at epoch %d < fence %d: %w",
-			d.host.Spec.Name, nodeName, epoch, d.fenceEpoch, ErrStaleEpoch)
-	}
-	return d.ResizeNode(nodeName, m, newInstances, factor)
 }
 
 // FenceEpoch returns the highest leadership epoch this daemon observed.

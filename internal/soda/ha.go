@@ -17,7 +17,7 @@ import (
 //   - the leader appends every state mutation to the journal before
 //     moving on, and beats to the standby over the modelled LAN;
 //   - the standby tails the journal stream (for lag accounting) and,
-//     when the leader falls silent past TakeoverAfter, takes over: it
+//     when the leader falls silent for 4 beat periods, takes over: it
 //     bumps the epoch, replays the durable journal into the logical
 //     state, and re-registers every live daemon;
 //   - daemons fence commands carrying a stale epoch (a revived or
@@ -34,16 +34,12 @@ import (
 // standby of its own. That is enough to reproduce the protocol — the
 // journal, the fencing, and the replayed-state equivalence — end to end.
 
-// HAConfig tunes the cluster's lease and resynchronization timing.
+// HAConfig tunes the cluster's lease and resynchronization timing. The
+// standby takes over after 4 beat periods of silence, checked every half
+// period.
 type HAConfig struct {
 	// BeatEvery is the leader → standby liveness beat period.
 	BeatEvery sim.Duration
-	// TakeoverAfter is the beat-silence deadline after which the standby
-	// assumes leadership (default 4 beat periods).
-	TakeoverAfter sim.Duration
-	// CheckEvery is the standby's deadline-evaluation period (default
-	// half a beat period).
-	CheckEvery sim.Duration
 	// ResyncDelay is the base delay before a daemon answers the new
 	// leader's epoch announcement; each daemon jitters it (±50%) from
 	// its own seeded stream so the reports spread out.
@@ -58,12 +54,6 @@ type HAConfig struct {
 func (c HAConfig) withDefaults() HAConfig {
 	if c.BeatEvery <= 0 {
 		c.BeatEvery = 250 * sim.Millisecond
-	}
-	if c.TakeoverAfter <= 0 {
-		c.TakeoverAfter = 4 * c.BeatEvery
-	}
-	if c.CheckEvery <= 0 {
-		c.CheckEvery = c.BeatEvery / 2
 	}
 	if c.ResyncDelay <= 0 {
 		c.ResyncDelay = 100 * sim.Millisecond
@@ -180,11 +170,11 @@ func NewCluster(net *simnet.Network, primary, standby *Master, cfg HAConfig) (*C
 			c.lastBeat = k.Now()
 		})
 	})
-	k.Every(c.cfg.CheckEvery, func() {
+	k.Every(c.cfg.BeatEvery/2, func() {
 		if c.leader != c.primary || c.takingOver {
 			return
 		}
-		if k.Now().Sub(c.lastBeat) >= c.cfg.TakeoverAfter {
+		if k.Now().Sub(c.lastBeat) >= 4*c.cfg.BeatEvery {
 			c.takeover()
 		}
 	})
@@ -326,7 +316,7 @@ func (c *Cluster) takeover() {
 			}
 		}
 		nl.health = oldHealth
-		c.k.Every(oldHealth.cfg.CheckEvery, nl.checkLiveness)
+		c.k.Every(oldHealth.cfg.checkEvery(), nl.checkLiveness)
 	}
 	if oldTracker != nil {
 		// A fresh tracker: the holder map is rebuilt purely from the
@@ -478,7 +468,7 @@ func (c *Cluster) daemonResynced(nl *Master, di int, report ResyncReport, rep jo
 		// The journal never saw this node reach a live service (it was
 		// mid-priming, or its service was rejected at rebuild): reclaim
 		// the slice under the new epoch.
-		_ = d.TeardownAs(nl.epoch, rn.Info.NodeName)
+		_ = d.Teardown(nl.epoch, rn.Info.NodeName)
 		orphans++
 	}
 	for _, hs := range report.Switches {

@@ -21,10 +21,8 @@ import (
 // within a couple of virtual seconds.
 func fastHA() soda.HAConfig {
 	return soda.HAConfig{
-		BeatEvery:     100 * sim.Millisecond,
-		TakeoverAfter: 400 * sim.Millisecond,
-		CheckEvery:    50 * sim.Millisecond,
-		ResyncDelay:   50 * sim.Millisecond,
+		BeatEvery:   100 * sim.Millisecond,
+		ResyncDelay: 50 * sim.Millisecond,
 	}
 }
 
@@ -104,14 +102,17 @@ func TestFailoverTakeover(t *testing.T) {
 	}
 
 	var down, over int
+	var downAt sim.Time
 	tb.Master.Observe(func(e soda.Event) {
 		switch e.Kind {
 		case soda.EventMasterDown:
 			down++
+			downAt = e.At
 		case soda.EventFailover:
 			over++
 		}
 	})
+	haltAt := tb.K.Now()
 	tb.Cluster.HaltLeader()
 	// The journal as it stood at the crash instant: replaying it must
 	// reconstruct the pre-crash state byte-for-byte.
@@ -135,6 +136,12 @@ func TestFailoverTakeover(t *testing.T) {
 	}
 	if down != 1 || over != 1 {
 		t.Fatalf("events master-down=%d failover=%d, want 1/1", down, over)
+	}
+	// The standby takes over once the last beat is 4 beat periods old,
+	// checked every half period; that beat left at most one period
+	// before the halt.
+	if d := downAt.Sub(haltAt); d < 3*fastHA().BeatEvery || d > 5*fastHA().BeatEvery {
+		t.Fatalf("takeover %v after the halt, want within 3-5 beat periods", d)
 	}
 
 	// Replaying the crash-instant journal reconstructs the pre-crash

@@ -14,65 +14,55 @@ import (
 // The detector is deadline-based: Daemons heartbeat over the bridged
 // network, and a host that falls silent is first suspected, then — after
 // a longer deadline — confirmed dead, at which point every virtual
-// service node it carried is recovered onto surviving hosts.
+// service node it carried is recovered onto surviving hosts. The
+// deadlines scale with the heartbeat period: a host is suspected after 3
+// periods of silence and confirmed dead after 6, checked every half
+// period.
 type HealthConfig struct {
 	// HeartbeatEvery is the Daemon heartbeat period.
 	HeartbeatEvery sim.Duration
-	// SuspectAfter is the silence deadline after which a host is
-	// suspected (default 3 heartbeat periods).
-	SuspectAfter sim.Duration
-	// ConfirmAfter is the silence deadline after which a suspected host
-	// is confirmed dead and recovery begins (default 6 periods).
-	ConfirmAfter sim.Duration
-	// CheckEvery is the detector's evaluation period (default half a
-	// heartbeat period).
-	CheckEvery sim.Duration
 	// RetryRecovery is the back-off before a failed replacement attempt
 	// is retried.
 	RetryRecovery sim.Duration
-	// EjectAfter / ProbeAfter configure the passive per-backend health
-	// pushed into every service switch (see svcswitch.HealthConfig).
-	EjectAfter int
+	// ProbeAfter is how long a backend that the service switches ejected
+	// sits out before a probe (see svcswitch.HealthConfig).
 	ProbeAfter sim.Duration
-	// HeartbeatJitter spreads each daemon's next beat by ±frac of the
-	// period, drawn from the daemon's own seeded stream (default 0.1).
-	// Without it every daemon beats in lockstep, and a post-failover
-	// re-registration arrives as one synchronized burst at the new
-	// leader. Negative disables jitter.
-	HeartbeatJitter float64
 }
+
+const (
+	// ejectAfter is the consecutive-failure count at which a service
+	// switch ejects a backend.
+	ejectAfter = 3
+	// heartbeatJitter spreads each daemon's next beat by ±10% of the
+	// period, drawn from the daemon's own seeded stream. Without it every
+	// daemon beats in lockstep, and a post-failover re-registration
+	// arrives as one synchronized burst at the new leader.
+	heartbeatJitter = 0.1
+)
 
 // withDefaults fills zero fields with the standard tuning.
 func (c HealthConfig) withDefaults() HealthConfig {
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = 250 * sim.Millisecond
 	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 3 * c.HeartbeatEvery
-	}
-	if c.ConfirmAfter <= 0 {
-		c.ConfirmAfter = 6 * c.HeartbeatEvery
-	}
-	if c.CheckEvery <= 0 {
-		c.CheckEvery = c.HeartbeatEvery / 2
-	}
 	if c.RetryRecovery <= 0 {
 		c.RetryRecovery = 2 * sim.Second
-	}
-	if c.EjectAfter <= 0 {
-		c.EjectAfter = 3
 	}
 	if c.ProbeAfter <= 0 {
 		c.ProbeAfter = sim.Second
 	}
-	if c.HeartbeatJitter == 0 {
-		c.HeartbeatJitter = 0.1
-	}
-	if c.HeartbeatJitter < 0 {
-		c.HeartbeatJitter = 0
-	}
 	return c
 }
+
+// suspectAfter is the silence after which a host is suspected.
+func (c HealthConfig) suspectAfter() sim.Duration { return 3 * c.HeartbeatEvery }
+
+// confirmAfter is the silence after which a suspected host is confirmed
+// dead and recovery begins.
+func (c HealthConfig) confirmAfter() sim.Duration { return 6 * c.HeartbeatEvery }
+
+// checkEvery is the detector's evaluation period.
+func (c HealthConfig) checkEvery() sim.Duration { return c.HeartbeatEvery / 2 }
 
 // HostState is the failure detector's view of one HUP host.
 type HostState int
@@ -81,9 +71,11 @@ type HostState int
 const (
 	// HostAlive: heartbeats arriving within the suspect deadline.
 	HostAlive HostState = iota
-	// HostSuspected: silent past SuspectAfter but not yet confirmed.
+	// HostSuspected: silent past 3 heartbeat periods but not yet
+	// confirmed.
 	HostSuspected
-	// HostDead: silent past ConfirmAfter; its nodes have been recovered.
+	// HostDead: silent past 6 heartbeat periods; its nodes have been
+	// recovered.
 	HostDead
 )
 
@@ -150,7 +142,7 @@ type healthMonitor struct {
 
 // EnableHealth turns on heartbeat-based failure detection and automatic
 // node recovery. Each Daemon heartbeats to the Master over the modelled
-// LAN; the Master evaluates deadlines every CheckEvery and, on a
+// LAN; the Master evaluates deadlines every half heartbeat and, on a
 // confirmed host death, re-primes the lost virtual service nodes on
 // surviving hosts and swaps them into the service switches. Passive
 // per-backend health (consecutive-error ejection with half-open
@@ -191,9 +183,9 @@ func (m *Master) EnableHealth(cfg HealthConfig) {
 					_ = m.net.Transfer(d.HostIP, lead.IP, 64, func() { lead.heartbeat(i) })
 				}
 			}
-			k.After(d.beatRNG.JitterDuration(cfg.HeartbeatEvery, cfg.HeartbeatJitter), beat)
+			k.After(d.beatRNG.JitterDuration(cfg.HeartbeatEvery, heartbeatJitter), beat)
 		}
-		k.After(d.beatRNG.JitterDuration(cfg.HeartbeatEvery, cfg.HeartbeatJitter), beat)
+		k.After(d.beatRNG.JitterDuration(cfg.HeartbeatEvery, heartbeatJitter), beat)
 		// Guest-OS crash reports: the daemon noticed a single node die on
 		// an otherwise healthy host — no need to wait for a heartbeat
 		// deadline.
@@ -207,19 +199,11 @@ func (m *Master) EnableHealth(cfg HealthConfig) {
 			})
 		})
 	}
-	k.Every(cfg.CheckEvery, m.checkLiveness)
+	k.Every(cfg.checkEvery(), m.checkLiveness)
 }
 
 // HealthEnabled reports whether EnableHealth has been called.
 func (m *Master) HealthEnabled() bool { return m.health != nil }
-
-// HealthConfig returns the active detector tuning (zero when disabled).
-func (m *Master) HealthConfig() HealthConfig {
-	if m.health == nil {
-		return HealthConfig{}
-	}
-	return m.health.cfg
-}
 
 // HostHealth returns the detector's per-host records, daemon order.
 func (m *Master) HostHealth() []HostHealth {
@@ -275,7 +259,7 @@ func (m *Master) checkLiveness() {
 	for i := range h.hosts {
 		hs := &h.hosts[i]
 		silent := now.Sub(hs.lastBeat)
-		if hs.state == HostAlive && silent >= h.cfg.SuspectAfter {
+		if hs.state == HostAlive && silent >= h.cfg.suspectAfter() {
 			hs.state = HostSuspected
 			m.emit(EventHostSuspected, "", m.daemons[i].Host().Spec.Name,
 				fmt.Sprintf("host %s silent %v", m.daemons[i].Host().Spec.Name, silent))
@@ -283,7 +267,7 @@ func (m *Master) checkLiveness() {
 				telemetry.L("host", m.daemons[i].Host().Spec.Name),
 				telemetry.L("silent", silent.String()))
 		}
-		if hs.state == HostSuspected && silent >= h.cfg.ConfirmAfter {
+		if hs.state == HostSuspected && silent >= h.cfg.confirmAfter() {
 			hs.state = HostDead
 			h.hostDeadCtr.Inc()
 			m.emit(EventHostDead, "", m.daemons[i].Host().Spec.Name,
@@ -335,7 +319,7 @@ func (m *Master) nodeCrashed(service, node, reason string) {
 		// The host is alive: tear the dead node's slice down so its
 		// reservation, bridged IP, and disk return to the pool before the
 		// replacement is placed.
-		_ = m.daemons[di].TeardownAs(m.epoch, node)
+		_ = m.daemons[di].Teardown(m.epoch, node)
 	}
 	m.recoverNodes(svc, []NodeInfo{info}, m.net.Kernel().Now(), "guest crash: "+reason)
 }

@@ -18,11 +18,7 @@ import (
 func fastDetector() soda.HealthConfig {
 	return soda.HealthConfig{
 		HeartbeatEvery: 100 * sim.Millisecond,
-		SuspectAfter:   300 * sim.Millisecond,
-		ConfirmAfter:   600 * sim.Millisecond,
-		CheckEvery:     50 * sim.Millisecond,
 		RetryRecovery:  500 * sim.Millisecond,
-		EjectAfter:     3,
 		ProbeAfter:     200 * sim.Millisecond,
 	}
 }
@@ -96,8 +92,8 @@ func TestDetectorShortFlapNeverConfirms(t *testing.T) {
 		}
 	})
 	tb.K.RunFor(sim.Second)
-	// Silent for 400ms: past SuspectAfter (300ms), short of ConfirmAfter
-	// (600ms).
+	// Silent for 400ms: past the suspect deadline (3 beats, 300ms), short
+	// of the confirm deadline (6 beats, 600ms).
 	tb.Daemons[1].Crash()
 	tb.K.RunFor(400 * sim.Millisecond)
 	tb.Daemons[1].Restore()
@@ -237,7 +233,7 @@ func TestTeardownMidPrimeLeaksNothing(t *testing.T) {
 		tb.K.RunFor(20 * sim.Millisecond)
 		if !cancelled {
 			for _, d := range tb.Daemons {
-				if d.Teardown("mid-0") == nil {
+				if d.Teardown(tb.Master.Epoch(), "mid-0") == nil {
 					cancelled = true
 				}
 			}

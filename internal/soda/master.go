@@ -642,7 +642,7 @@ func (m *Master) buildSwitch(svcs ...*Service) error {
 	}
 	if m.health != nil {
 		sw.SetHealth(svcswitch.HealthConfig{
-			EjectAfter: m.health.cfg.EjectAfter,
+			EjectAfter: ejectAfter,
 			ProbeAfter: m.health.cfg.ProbeAfter,
 		})
 	}
@@ -703,7 +703,7 @@ func (m *Master) rollback(svc *Service) {
 	for nodeName, di := range svc.nodeDaemon {
 		// Nodes that never finished priming are cleaned up by the daemon
 		// itself; Teardown only finds the finished ones.
-		_ = m.daemons[di].TeardownAs(m.epoch, nodeName)
+		_ = m.daemons[di].Teardown(m.epoch, nodeName)
 	}
 	svc.State = TornDown
 	delete(m.services, svc.Spec.Name)
@@ -733,7 +733,7 @@ func (m *Master) TeardownService(name string) error {
 			// service must not fail on it.
 			continue
 		}
-		if err := d.TeardownAs(m.epoch, n.NodeName); err != nil {
+		if err := d.Teardown(m.epoch, n.NodeName); err != nil {
 			sp.Fail(err)
 			return err
 		}

@@ -88,7 +88,7 @@ func (m *Master) shrink(svc *Service, delta int) error {
 		entry := svc.entry(*n)
 		if newCap == 0 {
 			svc.Switch.Unbind(entry)
-			if err := d.TeardownAs(m.epoch, nodeName); err != nil {
+			if err := d.Teardown(m.epoch, nodeName); err != nil {
 				return err
 			}
 			delete(svc.nodeDaemon, nodeName)
@@ -96,7 +96,7 @@ func (m *Master) shrink(svc *Service, delta int) error {
 			svc.Config.RemoveEntry(entry.IP, entry.Port)
 			m.journal("node-removed", jNodeRef{Service: svc.Spec.Name, Name: nodeName})
 		} else {
-			info, err := d.ResizeNodeAs(m.epoch, n.NodeName, svc.Spec.Requirement.M, newCap, m.Factor)
+			info, err := d.ResizeNode(m.epoch, n.NodeName, svc.Spec.Requirement.M, newCap, m.Factor)
 			if err != nil {
 				return err
 			}
@@ -157,7 +157,7 @@ func (m *Master) growInPlace(svc *Service, delta int) int {
 			}
 			n := &svc.Nodes[i]
 			d := m.daemons[svc.nodeDaemon[n.NodeName]]
-			info, err := d.ResizeNodeAs(m.epoch, n.NodeName, svc.Spec.Requirement.M, n.Capacity+1, m.Factor)
+			info, err := d.ResizeNode(m.epoch, n.NodeName, svc.Spec.Requirement.M, n.Capacity+1, m.Factor)
 			if err != nil {
 				continue
 			}

@@ -10,35 +10,24 @@ import (
 	"repro/internal/telemetry"
 )
 
-// BootParams holds the calibrated constants of the bootstrapping model.
-// The defaults reproduce the paper's Table 2 on the paper's two hosts;
-// see EXPERIMENTS.md for the derivation.
-type BootParams struct {
-	// HostOSOverheadMB is RAM the host OS itself occupies and the RAM
+// The calibrated constants of the bootstrapping model. They reproduce
+// the paper's Table 2 on the paper's two hosts; see EXPERIMENTS.md for
+// the derivation.
+const (
+	// hostOSOverheadMB is RAM the host OS itself occupies and the RAM
 	// disk can never use.
-	HostOSOverheadMB int
-	// RAMThresholdFrac: if free memory after a RAM-disk mount drops below
+	hostOSOverheadMB = 128
+	// ramThresholdFrac: if free memory after a RAM-disk mount drops below
 	// this fraction of installed RAM, boot suffers paging pressure.
-	RAMThresholdFrac float64
-	// RAMMountCyclesPerMB is the CPU cost of populating a RAM disk.
-	RAMMountCyclesPerMB cycles.Cycles
-	// SwapPenalty scales the boot slow-down under paging pressure:
-	// factor = 1 + SwapPenalty·(1 − free/threshold).
-	SwapPenalty float64
-	// UMLStartCycles is the fixed cost of exec-ing the UML binary itself.
-	UMLStartCycles cycles.Cycles
-}
-
-// DefaultBootParams returns the calibrated model constants.
-func DefaultBootParams() BootParams {
-	return BootParams{
-		HostOSOverheadMB:    128,
-		RAMThresholdFrac:    0.25,
-		RAMMountCyclesPerMB: 10e6,
-		SwapPenalty:         1.1,
-		UMLStartCycles:      1e8,
-	}
-}
+	ramThresholdFrac = 0.25
+	// ramMountCyclesPerMB is the CPU cost of populating a RAM disk.
+	ramMountCyclesPerMB cycles.Cycles = 10e6
+	// swapPenalty scales the boot slow-down under paging pressure:
+	// factor = 1 + swapPenalty·(1 − free/threshold).
+	swapPenalty = 1.1
+	// umlStartCycles is the fixed cost of exec-ing the UML binary itself.
+	umlStartCycles cycles.Cycles = 1e8
+)
 
 // BootRequest describes one virtual service node to bootstrap.
 type BootRequest struct {
@@ -56,8 +45,6 @@ type BootRequest struct {
 	// Profile is the guest-OS configuration shipped in the image — the
 	// full set of system services present before tailoring.
 	Profile []string
-	// Params are the boot model constants; zero value means defaults.
-	Params BootParams
 	// Span, when non-nil, is the parent priming span; Boot attaches
 	// rootfs.tailor, guest.boot, and service.bootstrap child spans so the
 	// Table 2 stage breakdown falls out of the span tree.
@@ -98,10 +85,6 @@ func Boot(req BootRequest, onDone func(*BootReport), onErr func(error)) {
 		fail(fmt.Errorf("uml: boot request missing host or image"))
 		return
 	}
-	p := req.Params
-	if p == (BootParams{}) {
-		p = DefaultBootParams()
-	}
 	catalog := StandardCatalog()
 	tailor, err := Tailor(catalog, req.Image.RootFS, req.Profile, req.Image.SystemServices)
 	if err != nil {
@@ -114,7 +97,7 @@ func Boot(req BootRequest, onDone func(*BootReport), onErr func(error)) {
 	report := &BootReport{Tailor: tailor, PressureFactor: 1}
 
 	sizeMB := req.Image.SizeMB()
-	free := h.MemoryFreeMB() - p.HostOSOverheadMB
+	free := h.MemoryFreeMB() - hostOSOverheadMB
 	useRAM := sizeMB <= free
 	if useRAM {
 		if err := h.UseMemory(sizeMB); err != nil {
@@ -124,9 +107,9 @@ func Boot(req BootRequest, onDone func(*BootReport), onErr func(error)) {
 	report.RAMDisk = useRAM
 	if useRAM {
 		freeAfter := free - sizeMB
-		threshold := int(p.RAMThresholdFrac * float64(h.Spec.MemoryMB))
+		threshold := int(ramThresholdFrac * float64(h.Spec.MemoryMB))
 		if freeAfter < threshold {
-			report.PressureFactor = 1 + p.SwapPenalty*(1-float64(freeAfter)/float64(threshold))
+			report.PressureFactor = 1 + swapPenalty*(1-float64(freeAfter)/float64(threshold))
 		}
 	}
 
@@ -171,7 +154,7 @@ func Boot(req BootRequest, onDone func(*BootReport), onErr func(error)) {
 			cost := cycles.Cycles(float64(services[i].StartCycles) * report.PressureFactor)
 			booter.Exec(cost, func() { startNext(i + 1) })
 		}
-		booter.Exec(p.UMLStartCycles, func() {
+		booter.Exec(umlStartCycles, func() {
 			bootSpan.EndSpan()
 			bootstrapSpan = req.Span.StartChild("service.bootstrap")
 			startNext(0)
@@ -183,7 +166,7 @@ func Boot(req BootRequest, onDone func(*BootReport), onErr func(error)) {
 		bootSpan = req.Span.StartChild("guest.boot",
 			telemetry.L("ramdisk", fmt.Sprintf("%v", useRAM)))
 		if useRAM {
-			booter.Exec(cycles.Cycles(sizeMB)*p.RAMMountCyclesPerMB, startServices)
+			booter.Exec(cycles.Cycles(sizeMB)*ramMountCyclesPerMB, startServices)
 		} else {
 			booter.ReadDiskSequential(req.Image.SizeBytes(), startServices)
 		}

@@ -59,13 +59,6 @@ func TestBootFallsBackToDiskWhenRAMRaces(t *testing.T) {
 	}
 }
 
-func TestDefaultBootParams(t *testing.T) {
-	p := DefaultBootParams()
-	if p.HostOSOverheadMB != 128 || p.RAMThresholdFrac != 0.25 || p.SwapPenalty != 1.1 {
-		t.Fatalf("calibrated constants drifted: %+v", p)
-	}
-}
-
 func TestGuestStateStrings(t *testing.T) {
 	if Running.String() != "running" || Crashed.String() != "crashed" || Stopped.String() != "stopped" {
 		t.Fatal("state names wrong")

@@ -70,8 +70,6 @@ type (
 	HoneypotDeployment = hup.HoneypotDeployment
 	// LiveProxy is the real-TCP twin of the service switch.
 	LiveProxy = realswitch.Proxy
-	// TransportConfig tunes the live proxy's shared backend transport.
-	TransportConfig = realswitch.TransportConfig
 )
 
 // The paper's conservative slow-down inflation (§3.2 footnote 2).
@@ -130,15 +128,6 @@ func NewLeastActive() SwitchPolicy { return svcswitch.NewLeastActive() }
 // NewLiveProxy returns the real-TCP service switch for a configuration,
 // with the tuned default transport settings.
 func NewLiveProxy(cfg *ConfigFile) *LiveProxy { return realswitch.New(cfg) }
-
-// NewLiveProxyWithTransport is NewLiveProxy with explicit transport
-// settings (connection-pool size, dial and response-header timeouts).
-func NewLiveProxyWithTransport(cfg *ConfigFile, tc TransportConfig) *LiveProxy {
-	return realswitch.NewWithTransport(cfg, tc)
-}
-
-// DefaultTransportConfig returns the live proxy's tuned transport knobs.
-func DefaultTransportConfig() TransportConfig { return realswitch.DefaultTransportConfig() }
 
 // NewConfigFile returns an empty service configuration file.
 func NewConfigFile(serviceName string) *ConfigFile { return svcswitch.NewConfigFile(serviceName) }
