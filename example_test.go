@@ -33,7 +33,7 @@ func Example() {
 		return
 	}
 	fmt.Printf("service %s is %v with capacity %d\n",
-		svc.Spec.Name, svc.State, svc.TotalCapacity())
+		svc.Spec.Name, svc.State(), svc.TotalCapacity())
 	for _, n := range svc.Nodes {
 		fmt.Printf("  node on %s (capacity %d)\n", n.HostName, n.Capacity)
 	}

@@ -47,7 +47,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nservice %q is %v with %d machine instances on %d virtual service nodes:\n",
-		svc.Spec.Name, svc.State, svc.TotalCapacity(), len(svc.Nodes))
+		svc.Spec.Name, svc.State(), svc.TotalCapacity(), len(svc.Nodes))
 	for _, n := range svc.Nodes {
 		mount := "disk"
 		if n.RAMDisk {

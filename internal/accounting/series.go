@@ -70,9 +70,6 @@ func NewRing(res sim.Duration, capacity int) *Ring {
 	return &Ring{res: res, buckets: make([]Bucket, capacity)}
 }
 
-// Resolution returns the bucket width.
-func (r *Ring) Resolution() sim.Duration { return r.res }
-
 // Len returns the number of live buckets.
 func (r *Ring) Len() int { return r.n }
 

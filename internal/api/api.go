@@ -859,7 +859,7 @@ func (s *Server) handleHUP(w http.ResponseWriter, r *http.Request) {
 func serviceView(svc *soda.Service) ServiceView {
 	v := ServiceView{
 		Name:       svc.Spec.Name,
-		State:      svc.State.String(),
+		State:      svc.State().String(),
 		Capacity:   svc.TotalCapacity(),
 		ConfigFile: svc.Config.Render(),
 	}

@@ -47,11 +47,6 @@ func (h *HoneypotService) HandleAttack(onCrashed func()) bool {
 	return ok
 }
 
-// Respawn models the honeypot operator rebooting the victim after a
-// crash so the next attack finds a live target. The paper's experiment
-// has the honeypot "constantly attacked and crashed".
-func (h *HoneypotService) Respawn(g *uml.Guest) { h.Guest = g }
-
 // CompJob is the resource-isolation experiment's computation-intensive
 // load: "infinite loop of dummy arithmetic operations" (§5). It runs one
 // or more spinner processes inside a guest's userid.
@@ -105,12 +100,3 @@ func StartLog(g *uml.Guest, writeBytes int64, formatCycles cycles.Cycles) *LogJo
 
 // Stop ends the write loop.
 func (j *LogJob) Stop() { j.stopped = true }
-
-// SpinService turns a guest into a pure CPU hog: every worker spins.
-// Used by tests that need a fully backlogged node without the comp/log
-// distinction.
-func SpinService(g *uml.Guest) {
-	for i := 0; i < g.Workers(); i++ {
-		g.ExecCPU(cycles.Cycles(1<<62), nil)
-	}
-}

@@ -197,23 +197,27 @@ type Signals struct {
 }
 
 // State is the controller's per-service memory between ticks. The soda
-// control loop journals every mutation of it before acting, so a warm
+// control loop commits every change to it as a journal record before
+// acting, so a warm
 // standby reconstructs it exactly and a failover can neither
 // double-scale nor lose a pending resize.
 type State struct {
 	// LastUp and LastDown are when the last resize in each direction was
 	// decided (zero = never); the cooldowns measure from them.
-	LastUp, LastDown sim.Time
+	LastUp   sim.Time `json:"last_up_ns,omitempty"`
+	LastDown sim.Time `json:"last_down_ns,omitempty"`
 	// Ups, Downs, and Blocked count completed scale-ups, completed
 	// scale-downs, and wanted-but-prevented moves.
-	Ups, Downs, Blocked uint64
+	Ups     uint64 `json:"ups,omitempty"`
+	Downs   uint64 `json:"downs,omitempty"`
+	Blocked uint64 `json:"blocked,omitempty"`
 	// Pending marks a decided resize whose completion has not been
 	// journaled yet; PendingTarget and PendingDir describe it. A new
 	// leader re-issues the resize to the absolute target, which is
 	// idempotent.
-	Pending       bool
-	PendingTarget int
-	PendingDir    string
+	Pending       bool   `json:"pending,omitempty"`
+	PendingTarget int    `json:"pending_target,omitempty"`
+	PendingDir    string `json:"pending_dir,omitempty"`
 }
 
 // Direction classifies a decision.

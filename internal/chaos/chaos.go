@@ -479,8 +479,3 @@ func (inj *Injector) ActiveFaults() []Fault {
 func (inj *Injector) History() []Record {
 	return append([]Record(nil), inj.history...)
 }
-
-// Scheduled returns the script (sorted once armed).
-func (inj *Injector) Scheduled() []Fault {
-	return append([]Fault(nil), inj.schedule...)
-}

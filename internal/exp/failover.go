@@ -236,7 +236,7 @@ func failoverRun(seed uint64, total sim.Duration) (*FailoverResult, error) {
 		GuestProfile: img2.SystemServices,
 		Behavior:     wd2.Behavior(),
 	})
-	res.PostCreateOK = err == nil && svc2 != nil && svc2.State == soda.Active
+	res.PostCreateOK = err == nil && svc2 != nil && svc2.State() == soda.Active
 
 	for _, r := range inj.History() {
 		res.FaultLog = append(res.FaultLog, r.String())

@@ -252,14 +252,8 @@ func (l *Logger) Warn(msg string, labels ...telemetry.Label) { l.log(LevelWarn, 
 // Error logs at error level. Nil-safe.
 func (l *Logger) Error(msg string, labels ...telemetry.Label) { l.log(LevelError, msg, labels) }
 
-// Debugf logs a formatted message at debug level. Nil-safe.
-func (l *Logger) Debugf(format string, args ...any) { l.logf(LevelDebug, format, args) }
-
 // Infof logs a formatted message at info level. Nil-safe.
 func (l *Logger) Infof(format string, args ...any) { l.logf(LevelInfo, format, args) }
-
-// Warnf logs a formatted message at warn level. Nil-safe.
-func (l *Logger) Warnf(format string, args ...any) { l.logf(LevelWarn, format, args) }
 
 // Errorf logs a formatted message at error level. Nil-safe.
 func (l *Logger) Errorf(format string, args ...any) { l.logf(LevelError, format, args) }

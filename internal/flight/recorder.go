@@ -86,8 +86,6 @@ type Recorder struct {
 	nIncidents uint64 // total ever opened, for ID assignment
 	lastFire   map[string]time.Duration
 	suppressed uint64
-	lastSnap   telemetry.Snapshot
-	snapAt     time.Duration
 }
 
 // NewRecorder returns a recorder with the given options. Panics if
@@ -177,9 +175,8 @@ func (r *Recorder) Tail(n int, min Level, component string) []RecordView {
 	return out
 }
 
-// CaptureMetrics takes a registry snapshot (via Options.Metrics), retains
-// it as the recorder's latest, and appends a heartbeat record noting the
-// capture. Wire it to a periodic timer — the testbed uses the simulation
+// CaptureMetrics takes a registry snapshot (via Options.Metrics) and
+// appends a heartbeat record noting the capture. Wire it to a periodic timer — the testbed uses the simulation
 // kernel, sodad a wall-clock ticker. Nil-safe.
 func (r *Recorder) CaptureMetrics() {
 	if r == nil || r.opt.Metrics == nil {
@@ -197,21 +194,6 @@ func (r *Recorder) CaptureMetrics() {
 	rec.labels[1] = telemetry.L("histograms", fmt.Sprint(len(snap.Histograms)))
 	rec.n = 2
 	r.append(&rec)
-	r.mu.Lock()
-	r.lastSnap = snap
-	r.snapAt = at
-	r.mu.Unlock()
-}
-
-// LastSnapshot returns the most recent CaptureMetrics snapshot and its
-// timestamp. Nil-safe (zero values).
-func (r *Recorder) LastSnapshot() (telemetry.Snapshot, time.Duration) {
-	if r == nil {
-		return telemetry.Snapshot{}, 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lastSnap, r.snapAt
 }
 
 // Trigger opens an incident named by trigger (the event kind or "manual")

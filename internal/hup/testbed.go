@@ -232,7 +232,7 @@ func (tb *Testbed) mustAttach(call string, attached bool) {
 	switch {
 	case attached:
 		panic("hup: " + call + " called twice")
-	case tb.Master.Admitted > 0:
+	case tb.Master.Admitted() > 0:
 		panic("hup: " + call + " after the first service; attach features before creating services")
 	}
 }

@@ -250,16 +250,9 @@ func (r *Repository) ManifestFor(name string) (*Manifest, error) {
 	if m, ok := r.manifests[name]; ok && m.master == im {
 		return m, nil
 	}
-	m := BuildManifest(im, r.chunkBytes)
+	m := BuildManifest(im, DefaultChunkBytes)
 	r.manifests[name] = m
 	return m, nil
-}
-
-// SetChunkBytes changes the repository's chunking granularity (0 restores
-// DefaultChunkBytes) and invalidates cached manifests.
-func (r *Repository) SetChunkBytes(n int64) {
-	r.chunkBytes = n
-	r.manifests = nil
 }
 
 // ServeChunk transfers one chunk of the named image to destIP — the

@@ -42,9 +42,8 @@ type Repository struct {
 	images map[string]*Image
 
 	// manifests caches each published image's chunk manifest, built
-	// lazily at chunkBytes granularity (0 = DefaultChunkBytes).
-	manifests  map[string]*Manifest
-	chunkBytes int64
+	// lazily at DefaultChunkBytes granularity.
+	manifests map[string]*Manifest
 
 	// faultHook, when set, is consulted once per download attempt and
 	// may fail, corrupt, or stall it. Installed by the chaos injector.

@@ -122,9 +122,6 @@ func (d *DurationSummary) MinDuration() time.Duration { return time.Duration(d.M
 // MaxDuration returns the maximum as a duration.
 func (d *DurationSummary) MaxDuration() time.Duration { return time.Duration(d.Max()) }
 
-// StddevDuration returns the standard deviation as a duration.
-func (d *DurationSummary) StddevDuration() time.Duration { return time.Duration(d.Stddev()) }
-
 // Quantiler retains all samples and answers arbitrary quantile queries
 // exactly. SODA experiments are small enough (≤ millions of samples) that
 // exact quantiles are affordable and reproducible.

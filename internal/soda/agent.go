@@ -2,7 +2,9 @@ package soda
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/accounting"
@@ -53,13 +55,21 @@ type BillingAccount struct {
 	DiskGBHours float64 `json:"disk_gb_hours"`
 	// NetworkGB bills bytes the service's nodes put on the wire.
 	NetworkGB float64 `json:"network_gb"`
-	// open tracks running services: name → (capacity, since).
-	open map[string]usageSpan
+	// open tracks running services, sorted by name, so every sum over
+	// them runs in one order.
+	open []usageSpan
 }
 
 type usageSpan struct {
+	service  string
 	capacity int
 	since    sim.Time
+}
+
+// span finds a service's open span: its index, or where it would be
+// inserted.
+func (b *BillingAccount) span(service string) (int, bool) {
+	return slices.BinarySearchFunc(b.open, service, func(s usageSpan, k string) int { return strings.Compare(s.service, k) })
 }
 
 // addUsage folds metered resource totals into the account's charges.
@@ -100,7 +110,7 @@ func (a *Agent) RegisterASP(name, credential string) error {
 	}
 	a.asps[credential] = name
 	if a.billing[name] == nil {
-		a.billing[name] = &BillingAccount{ASP: name, open: make(map[string]usageSpan)}
+		a.billing[name] = &BillingAccount{ASP: name}
 	}
 	return nil
 }
@@ -129,7 +139,12 @@ func (a *Agent) openUsage(asp, service string, capacity int) {
 		return
 	}
 	acct.settle(now)
-	acct.open[service] = usageSpan{capacity: capacity, since: now}
+	sp := usageSpan{service: service, capacity: capacity, since: now}
+	if i, ok := acct.span(service); ok {
+		acct.open[i] = sp
+	} else {
+		acct.open = slices.Insert(acct.open, i, sp)
+	}
 }
 
 // closeUsage settles and removes a service's usage span, folding its
@@ -143,7 +158,9 @@ func (a *Agent) closeUsage(asp, service string, final accounting.Usage) {
 		return
 	}
 	acct.settle(now)
-	delete(acct.open, service)
+	if i, ok := acct.span(service); ok {
+		acct.open = slices.Delete(acct.open, i, i+1)
+	}
 	acct.addUsage(final)
 }
 
@@ -167,11 +184,10 @@ func (a *Agent) Billing(asp string) (*BillingAccount, bool) {
 		MemoryGBHours:   acct.MemoryGBHours,
 		DiskGBHours:     acct.DiskGBHours,
 		NetworkGB:       acct.NetworkGB,
-		open:            make(map[string]usageSpan, len(acct.open)),
+		open:            slices.Clone(acct.open),
 	}
-	for name, span := range acct.open {
-		snap.open[name] = span
-		if u, live := a.master.currentLeader().UsageTotals(name); live {
+	for _, sp := range acct.open {
+		if u, live := a.master.currentLeader().UsageTotals(sp.service); live {
 			snap.addUsage(u)
 		}
 	}
@@ -198,24 +214,26 @@ func (a *Agent) ownsService(asp, service string) bool {
 	if acct == nil {
 		return false
 	}
-	_, ok := acct.open[service]
+	_, ok := acct.span(service)
 	return ok
 }
 
+// settle folds every open span's instance-seconds up to now into the
+// account, in service-name order.
 func (b *BillingAccount) settle(now sim.Time) {
-	for name, span := range b.open {
-		b.InstanceSeconds += float64(span.capacity) * now.Sub(span.since).Seconds()
-		b.open[name] = usageSpan{capacity: span.capacity, since: now}
+	for i := range b.open {
+		sp := &b.open[i]
+		b.InstanceSeconds += float64(sp.capacity) * now.Sub(sp.since).Seconds()
+		sp.since = now
 	}
 }
 
 // OpenServices lists the account's running services, sorted.
 func (b *BillingAccount) OpenServices() []string {
 	out := make([]string, 0, len(b.open))
-	for n := range b.open {
-		out = append(out, n)
+	for _, sp := range b.open {
+		out = append(out, sp.service)
 	}
-	sort.Strings(out)
 	return out
 }
 

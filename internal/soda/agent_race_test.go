@@ -2,6 +2,7 @@ package soda
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -109,5 +110,31 @@ func TestAgentBillingConcurrency(t *testing.T) {
 	wantCPU := float64(2 * iters) // goroutines 0 and 4 ran the open/close arm
 	if acct.CPUMHzSeconds != wantCPU {
 		t.Fatalf("CPU charges = %v MHz-s, want %v", acct.CPUMHzSeconds, wantCPU)
+	}
+}
+
+// TestSettleDeterministic opens six usage spans of different capacities
+// 7.9 ms apart and settles the bill at t = 123.456789 s, 2000 times over
+// fresh agents: the instance-seconds sum must read the same bits every
+// time, whatever order the services were stored in.
+func TestSettleDeterministic(t *testing.T) {
+	settle := func() float64 {
+		a := newRaceAgent(t)
+		if err := a.RegisterASP("acme", "sesame"); err != nil {
+			t.Fatal(err)
+		}
+		for i, capacity := range []int{4, 1, 7, 2, 9, 3} {
+			a.k.RunUntil(sim.Time(sim.Duration(i) * 7900 * sim.Microsecond))
+			a.openUsage("acme", fmt.Sprintf("svc-%d", i), capacity)
+		}
+		a.k.RunUntil(sim.Time(123456789 * sim.Microsecond))
+		acct, _ := a.Billing("acme")
+		return acct.InstanceSeconds
+	}
+	want := settle()
+	for i := 0; i < 2000; i++ {
+		if got := settle(); got != want {
+			t.Fatalf("settle %d: InstanceSeconds = %x, first settle %x", i, math.Float64bits(got), math.Float64bits(want))
+		}
 	}
 }

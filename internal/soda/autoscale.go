@@ -2,7 +2,6 @@ package soda
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/autoscale"
 	"repro/internal/sim"
@@ -25,10 +24,10 @@ import (
 //   - Decisions are a pure function of (policy, state, signals); the loop
 //     iterates services in sorted order under the virtual clock, so a
 //     seed fully determines the decision sequence.
-//   - Every state mutation is journaled before acting: a decision
-//     appends autoscale-decision (marking the resize pending, with an
-//     *absolute* target) before any daemon sees a command, and the
-//     completion appends autoscale-done. A warm standby therefore
+//   - Every state change is committed before acting: a decision commits
+//     autoscale-decision (marking the resize pending, with an *absolute*
+//     target) before any daemon sees a command, and the completion
+//     commits autoscale-done. A warm standby therefore
 //     reconstructs cooldown clocks, counters, and the pending resize
 //     exactly; after takeover it re-issues any pending resize to its
 //     absolute target, which is idempotent — a resize that already took
@@ -38,17 +37,14 @@ import (
 //     leader's in-flight commands die at the daemons, and its
 //     completion callbacks are discarded (see autoscaleDone).
 
-// autoscaler is one service's live controller instance: the normalized
-// policy, the journaled runtime state, and the live-only signal taps.
+// autoscaler is one armed controller's live-only memory: signal taps
+// and event dedup. The policy rides in the service's committed spec and
+// the runtime state (cooldown clocks, move counters, pending resize) is
+// the state's; replay folds records rather than re-running decision
+// logic, so the Blocked counter advances exactly when a record was
+// committed, and these taps resetting on failover costs at most one
+// duplicate blocked event.
 type autoscaler struct {
-	pol autoscale.Policy
-	st  autoscale.State
-
-	// Signal taps and event-dedup memory. Deliberately live-only and
-	// excluded from the journaled state: replay folds journaled records
-	// rather than re-running decision logic, so the Blocked counter
-	// advances exactly when a record was journaled, and these taps
-	// resetting on failover costs at most one duplicate blocked event.
 	prevDropped int
 	prevSlow    uint64
 	lastBlock   string
@@ -59,46 +55,25 @@ type autoscaler struct {
 	lastAt       sim.Time
 }
 
-// captured converts the live controller state into its journaled form.
-func (a *autoscaler) captured(name string) jAutoscalerState {
-	return jAutoscalerState{
-		Service:       name,
-		LastUpNs:      int64(a.st.LastUp),
-		LastDownNs:    int64(a.st.LastDown),
-		Ups:           a.st.Ups,
-		Downs:         a.st.Downs,
-		Blocked:       a.st.Blocked,
-		Pending:       a.st.Pending,
-		PendingTarget: a.st.PendingTarget,
-		PendingDir:    a.st.PendingDir,
+// taps returns the named service's controller memory, made fresh on
+// the first tick after admission or a takeover.
+func (m *Master) taps(name string) *autoscaler {
+	a := m.autos[name]
+	if a == nil {
+		a = &autoscaler{}
+		m.autos[name] = a
 	}
+	return a
 }
 
-// restoredAutoscaler rebuilds a live controller from replayed state.
-func restoredAutoscaler(pol autoscale.Policy, js jAutoscalerState) *autoscaler {
-	return &autoscaler{
-		pol: pol.Normalize(),
-		st: autoscale.State{
-			LastUp:        sim.Time(js.LastUpNs),
-			LastDown:      sim.Time(js.LastDownNs),
-			Ups:           js.Ups,
-			Downs:         js.Downs,
-			Blocked:       js.Blocked,
-			Pending:       js.Pending,
-			PendingTarget: js.PendingTarget,
-			PendingDir:    js.PendingDir,
-		},
+// armed returns the names of the services with an armed autoscaler,
+// sorted.
+func (m *Master) armed() []string {
+	names := make([]string, 0, len(m.state.Autoscalers))
+	for _, a := range m.state.Autoscalers {
+		names = append(names, a.Service)
 	}
-}
-
-// armAutoscaler creates the controller for a just-admitted service with
-// an enabled policy. Arming is implicit in admission — the journaled
-// spec carries the policy — so no separate record is needed.
-func (m *Master) armAutoscaler(spec ServiceSpec) {
-	if !spec.Autoscale.Enabled() {
-		return
-	}
-	m.autos[spec.Name] = &autoscaler{pol: spec.Autoscale.Normalize()}
+	return names
 }
 
 // AutoscaleTick runs one pass of the control loop over every armed
@@ -111,32 +86,27 @@ func (m *Master) AutoscaleTick() {
 		lead.AutoscaleTick()
 		return
 	}
-	if m.halted || len(m.autos) == 0 {
+	if m.halted || len(m.state.Autoscalers) == 0 {
 		return
 	}
 	if m.cluster != nil && m.cluster.takingOver {
 		return
 	}
-	names := make([]string, 0, len(m.autos))
-	for n := range m.autos {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	now := m.net.Kernel().Now()
-	for _, name := range names {
-		a := m.autos[name]
+	for _, name := range m.armed() {
 		svc, ok := m.services[name]
-		if !ok || svc.State != Active {
+		if !ok || svc.State() != Active {
 			continue
 		}
+		a := m.taps(name)
 		sig := m.autoscaleSignals(svc, a, now)
-		dec := autoscale.Decide(a.pol, a.st, sig)
+		dec := autoscale.Decide(svc.record().Autoscale, *m.state.autoscaler(name), sig)
 		a.lastDecision = fmt.Sprintf("%s: %s", dec.Dir, dec.Reason)
 		a.lastAt = now
 		switch dec.Dir {
 		case autoscale.Up, autoscale.Down:
 			a.lastBlock = ""
-			m.autoscaleAct(svc, a, dec, sig)
+			m.autoscaleAct(svc, dec, sig)
 		case autoscale.Blocked:
 			// A persistent guard (at max under sustained load, inside a
 			// cooldown) would journal and emit every tick; dedup on the
@@ -145,8 +115,7 @@ func (m *Master) AutoscaleTick() {
 				continue
 			}
 			a.lastBlock = dec.Reason
-			a.st.Blocked++
-			m.journal("autoscale-blocked", jAutoscale{
+			m.commit("autoscale-blocked", jAutoscale{
 				Service: name, Dir: "blocked", From: sig.Capacity,
 				To: dec.Target, Reason: dec.Reason, AtNs: int64(now),
 			})
@@ -188,18 +157,15 @@ func (m *Master) autoscaleSignals(svc *Service, a *autoscaler, now sim.Time) aut
 	return sig
 }
 
-// autoscaleAct commits one scale decision: mark it pending with the
-// absolute target, journal it, then drive the resize. The journal append
-// happens strictly before any daemon command, so a crash in between
-// leaves a durable pending record the next leader re-issues.
-func (m *Master) autoscaleAct(svc *Service, a *autoscaler, dec autoscale.Decision, sig autoscale.Signals) {
+// autoscaleAct commits one scale decision — pending, with the absolute
+// target — then drives the resize. The commit happens strictly before
+// any daemon command, so a crash in between leaves a durable pending
+// record the next leader re-issues.
+func (m *Master) autoscaleAct(svc *Service, dec autoscale.Decision, sig autoscale.Signals) {
 	name := svc.Spec.Name
 	dir := dec.Dir.String()
 	from := sig.Capacity
-	a.st.Pending = true
-	a.st.PendingTarget = dec.Target
-	a.st.PendingDir = dir
-	m.journal("autoscale-decision", jAutoscale{
+	m.commit("autoscale-decision", jAutoscale{
 		Service: name, Dir: dir, From: from, To: dec.Target,
 		Reason: dec.Reason, AtNs: int64(sig.At),
 	})
@@ -225,12 +191,11 @@ func (m *Master) autoscaleAct(svc *Service, a *autoscaler, dec autoscale.Decisio
 	})
 }
 
-// autoscaleDone seals one resize: clear the pending marker, stamp the
-// direction's cooldown clock, count the move, then journal the
-// completion. A failed resize still stamps the clock — the cooldown doubles
-// as retry backoff — and counts as blocked. Completion callbacks from
-// a crashed or deposed leader are discarded: the journal holds the
-// pending decision and the new leader re-issues it itself.
+// autoscaleDone seals one resize by committing autoscale-done, which
+// clears the pending marker, stamps the direction's cooldown clock and
+// counts the move (a failure as blocked). Completion callbacks from a
+// crashed or deposed leader are discarded: the journal holds the pending
+// decision and the new leader re-issues it itself.
 func (m *Master) autoscaleDone(name, dir string, target int, ok bool, detail string) {
 	if m.halted {
 		return
@@ -238,31 +203,19 @@ func (m *Master) autoscaleDone(name, dir string, target int, ok bool, detail str
 	if m.cluster != nil && m.cluster.leader != m {
 		return
 	}
-	a := m.autos[name]
-	if a == nil {
+	if m.state.autoscaler(name) == nil {
 		return // torn down while the resize was in flight
 	}
 	now := m.net.Kernel().Now()
-	a.st.Pending = false
-	a.st.PendingTarget = 0
-	a.st.PendingDir = ""
-	if dir == "up" {
-		a.st.LastUp = now
-	} else {
-		a.st.LastDown = now
-	}
 	switch {
 	case !ok:
-		a.st.Blocked++
 		m.autoBlockedCtr.Inc()
 	case dir == "up":
-		a.st.Ups++
 		m.autoUpCtr.Inc()
 	default:
-		a.st.Downs++
 		m.autoDownCtr.Inc()
 	}
-	m.journal("autoscale-done", jAutoscale{
+	m.commit("autoscale-done", jAutoscale{
 		Service: name, Dir: dir, To: target, AtNs: int64(now), OK: ok,
 	})
 	if ok {
@@ -281,17 +234,12 @@ func (m *Master) autoscaleDone(name, dir string, target int, ok bool, detail str
 // no-op; if they never reached the daemons it runs now. Either way
 // exactly one autoscale-done follows each pending decision.
 func (m *Master) reissuePendingResizes() {
-	names := make([]string, 0, len(m.autos))
-	for n := range m.autos {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		a := m.autos[name]
-		if !a.st.Pending {
+	for _, name := range m.armed() {
+		a := m.state.autoscaler(name)
+		if !a.Pending {
 			continue
 		}
-		name, dir, target := name, a.st.PendingDir, a.st.PendingTarget
+		name, dir, target := name, a.PendingDir, a.PendingTarget
 		m.emit(EventAutoscale, name, "",
 			fmt.Sprintf("re-issuing pending %s to %d after failover", dir, target))
 		m.ResizeService(name, target, func(*Service) {
@@ -329,29 +277,26 @@ type AutoscalerView struct {
 // AutoscaleReport returns every armed service's controller state,
 // sorted by service name.
 func (m *Master) AutoscaleReport() []AutoscalerView {
-	names := make([]string, 0, len(m.autos))
-	for n := range m.autos {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]AutoscalerView, 0, len(names))
-	for _, name := range names {
-		a := m.autos[name]
+	out := make([]AutoscalerView, 0, len(m.state.Autoscalers))
+	for _, as := range m.state.Autoscalers {
+		name := as.Service
+		pol := m.state.service(name).Autoscale
 		v := AutoscalerView{
-			Service:         name,
-			Policy:          a.pol.String(),
-			Min:             a.pol.Min,
-			Max:             a.pol.Max,
-			Ups:             a.st.Ups,
-			Downs:           a.st.Downs,
-			Blocked:         a.st.Blocked,
-			Pending:         a.st.Pending,
-			PendingTarget:   a.st.PendingTarget,
-			PendingDir:      a.st.PendingDir,
-			LastUpSec:       a.st.LastUp.Seconds(),
-			LastDownSec:     a.st.LastDown.Seconds(),
-			LastDecision:    a.lastDecision,
-			LastDecisionSec: a.lastAt.Seconds(),
+			Service:       name,
+			Policy:        pol.String(),
+			Min:           pol.Min,
+			Max:           pol.Max,
+			Ups:           as.Ups,
+			Downs:         as.Downs,
+			Blocked:       as.Blocked,
+			Pending:       as.Pending,
+			PendingTarget: as.PendingTarget,
+			PendingDir:    as.PendingDir,
+			LastUpSec:     as.LastUp.Seconds(),
+			LastDownSec:   as.LastDown.Seconds(),
+		}
+		if a := m.autos[name]; a != nil {
+			v.LastDecision, v.LastDecisionSec = a.lastDecision, a.lastAt.Seconds()
 		}
 		if svc, ok := m.services[name]; ok {
 			v.Capacity = svc.TotalCapacity()

@@ -500,7 +500,7 @@ func (d *Daemon) fetchChunked(repo *image.Repository, name string, fanOut int, p
 				planReqBase+planReqPerChunk*int64(len(ids)),
 				planRespBase+planRespPerChunk*int64(len(ids)),
 				func() {
-					plan = d.coord.planChunks(d.coordIdx, name, len(m.Chunks), ids)
+					plan = d.coord.planChunks(d.coordIdx, ids)
 				},
 				func() {
 					planInFlight = false

@@ -825,18 +825,6 @@ func (d *Daemon) AdoptSwitch(service string, sw *svcswitch.Switch, cfg *svcswitc
 // DropSwitch forgets a hosted switch (teardown or re-homing elsewhere).
 func (d *Daemon) DropSwitch(service string) { delete(d.switches, service) }
 
-// HostedSwitches returns how many service switches are homed here.
-func (d *Daemon) HostedSwitches() int { return len(d.switches) }
-
-// NodeInfoFor returns the daemon's record of a node.
-func (d *Daemon) NodeInfoFor(nodeName string) (NodeInfo, bool) {
-	rt, ok := d.nodes[nodeName]
-	if !ok {
-		return NodeInfo{}, false
-	}
-	return rt.info, true
-}
-
 // Crashed reports whether the daemon is crash-stopped.
 func (d *Daemon) Crashed() bool { return d.crashed }
 

@@ -3,7 +3,6 @@ package soda
 import (
 	"fmt"
 
-	"repro/internal/accounting"
 	"repro/internal/journal"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -14,7 +13,7 @@ import (
 // Control-plane high availability. A Cluster pairs the primary Master
 // with a warm standby behind a shared write-ahead journal:
 //
-//   - the leader appends every state mutation to the journal before
+//   - the leader commits every state change as a journal record before
 //     moving on, and beats to the standby over the modelled LAN;
 //   - the standby tails the journal stream (for lag accounting) and,
 //     when the leader falls silent for 4 beat periods, takes over: it
@@ -46,8 +45,7 @@ type HAConfig struct {
 	ResyncDelay sim.Duration
 	// SnapshotEvery compacts the journal once this many records have
 	// accumulated since the last snapshot (default 64). Snapshots are
-	// deferred while any service is mid-priming so capture and replay
-	// always agree.
+	// deferred while any service is mid-priming.
 	SnapshotEvery int
 }
 
@@ -136,13 +134,14 @@ func NewCluster(net *simnet.Network, primary, standby *Master, cfg HAConfig) (*C
 	}
 	primary.cluster = c
 	standby.cluster = c
+	// The journal opens with a snapshot of the primary's state at epoch 1.
 	c.log.SetEpoch(1)
-	primary.epoch = 1
+	primary.state.apply("epoch", jEpoch{Epoch: 1})
 	primary.jlog = c.log
 	primary.snapEvery = c.cfg.SnapshotEvery
 	now := k.Now()
 	c.lastBeat = now
-	c.log.Snapshot(int64(now), primary.captureState())
+	c.log.Snapshot(int64(now), primary.state)
 	c.standbySeq = c.log.Seq()
 
 	// The journal stream: every appended frame crosses the LAN to the
@@ -238,10 +237,11 @@ func (c *Cluster) cacheSpec(spec ServiceSpec) {
 	c.specs[spec.Name] = spec
 }
 
-// takeover is the standby's leadership assumption: bump the epoch, fence
-// the journal away from the old leader, replay the durable log into the
-// logical state, move the subsystem attachments over, rebuild the
-// service records, and fan the epoch announcement out to the daemons.
+// takeover is the standby's leadership assumption: replay the durable
+// log into the logical state, fence the journal away from the old
+// leader, move the subsystem attachments over, commit the new epoch,
+// rebuild the live service handles, and fan the epoch announcement out
+// to the daemons.
 func (c *Cluster) takeover() {
 	c.takingOver = true
 	c.completed = false
@@ -265,7 +265,6 @@ func (c *Cluster) takeover() {
 	ol.chunkDist = nil
 	c.log.SetEpoch(newEpoch)
 	nl.jlog = c.log
-	nl.epoch = newEpoch
 	nl.snapEvery = c.cfg.SnapshotEvery
 	nl.halted = false
 
@@ -288,19 +287,26 @@ func (c *Cluster) takeover() {
 		c.epochGauge.Set(float64(newEpoch))
 	}
 
-	// Rebuild before journaling: a snapshot taken at the epoch record
-	// must capture the reconstructed state, not the standby's empty one.
-	lost := c.rebuild(nl, st)
-	nl.journal("epoch", jEpoch{Epoch: newEpoch})
+	// The epoch record drops the services the old leader was still
+	// priming; they are rejected below, and their half-primed nodes are
+	// torn down as orphans during resynchronization.
+	var lost []string
+	for _, js := range st.Services {
+		if ServiceState(js.State) != Active {
+			lost = append(lost, js.Name)
+		}
+	}
+	nl.state = st
+	nl.commit("epoch", jEpoch{Epoch: newEpoch})
+	c.rebuild(nl)
 	nl.emit(EventMasterDown, "", "",
 		fmt.Sprintf("leader silent %v, standby taking over at epoch %d", silence, newEpoch))
 	nl.flog.Error("leader presumed dead",
 		telemetry.L("silence", silence.String()),
 		telemetry.L("epoch", itoa(int(newEpoch))))
 	for _, name := range lost {
-		nl.Rejected++
 		nl.rejectedCtr.Inc()
-		nl.journal("service-rejected", jName{Service: name})
+		nl.commit("service-rejected", jName{Service: name})
 		nl.emit(EventRejected, name, "", "lost mid-priming by control-plane failover")
 		nl.flog.Warn("mid-priming service rejected at failover",
 			telemetry.L("service", name))
@@ -321,36 +327,21 @@ func (c *Cluster) takeover() {
 	if oldTracker != nil {
 		// A fresh tracker: the holder map is rebuilt purely from the
 		// daemons' resynchronization announces — and must come back
-		// identical to the journaled pre-crash occupancy. The reset
-		// record keeps the journal consistent at every instant: replayed
-		// holders are cleared here and re-accumulated from the re-journal
-		// of each announce.
+		// identical to the journaled pre-crash occupancy.
 		nl.chunkDist = newChunkTracker(oldTracker.cfg)
-		nl.journal("chunk-reset", struct{}{})
+		nl.commit("chunk-reset", struct{}{})
 	}
 
 	c.resyncDaemons(nl, newEpoch, rep)
 }
 
-// rebuild turns the replayed logical state into live service records on
-// the new leader. Guests and switches stay unfilled until the daemons'
-// resynchronization reports arrive. Services caught mid-priming by the
-// crash are left out and returned, for the caller to reject (their
-// half-primed nodes are torn down as orphans during resynchronization).
-func (c *Cluster) rebuild(nl *Master, st *masterState) (lost []string) {
-	nl.Admitted = st.Admitted
-	nl.Rejected = st.Rejected
-	nl.settled = make(map[string]accounting.Usage, len(st.Settled))
-	for _, s := range st.Settled {
-		nl.settled[s.Service] = s.Usage
-	}
+// rebuild gives every service in the new leader's state a live handle.
+// Guests and switches stay unfilled until the daemons' resynchronization
+// reports arrive; autoscaler taps start fresh.
+func (c *Cluster) rebuild(nl *Master) {
 	nl.services = make(map[string]*Service)
-	for i := range st.Services {
-		js := &st.Services[i]
-		if ServiceState(js.State) != Active {
-			lost = append(lost, js.Name)
-			continue
-		}
+	nl.autos = make(map[string]*autoscaler)
+	for _, js := range nl.state.Services {
 		spec := js.logicalSpec()
 		if cached, ok := c.specs[js.Name]; ok {
 			spec.Behavior = cached.Behavior
@@ -358,9 +349,9 @@ func (c *Cluster) rebuild(nl *Master, st *masterState) (lost []string) {
 		}
 		svc := &Service{
 			Spec:       spec,
-			State:      Active,
 			Config:     svcswitch.NewConfigFile(js.Name),
-			nodeDaemon: make(map[string]int),
+			m:          nl,
+			priming:    make(map[string]int),
 			nextNodeID: js.NextNodeID,
 		}
 		for _, n := range orderHomeFirst(js.Nodes, js.Home) {
@@ -372,25 +363,10 @@ func (c *Cluster) rebuild(nl *Master, st *masterState) (lost []string) {
 				Capacity: n.Capacity,
 				UID:      n.UID,
 			})
-			svc.nodeDaemon[n.Name] = n.Daemon
 		}
 		nl.services[js.Name] = svc
 	}
-	// Rebuild the autoscale controllers: the policy replays inside each
-	// service's journaled spec, the runtime state (cooldown clocks, move
-	// counters, pending resize) from the autoscale-* records. Entries for
-	// services left out above are dropped — the service-rejected record
-	// the caller journals removes them from the replayed form too.
-	nl.autos = make(map[string]*autoscaler)
-	for _, ja := range st.Autoscalers {
-		svc, ok := nl.services[ja.Service]
-		if !ok {
-			continue
-		}
-		nl.autos[ja.Service] = restoredAutoscaler(svc.Spec.Autoscale, ja)
-	}
 	nl.activeServices.Set(float64(len(nl.services)))
-	return lost
 }
 
 // orderHomeFirst returns the journaled nodes with the switch's home node
@@ -460,15 +436,14 @@ func (c *Cluster) daemonResynced(nl *Master, di int, report ResyncReport, rep jo
 		if svc, ok := nl.services[rn.Service]; ok {
 			if idx := nodeIndex(svc, rn.Info.NodeName); idx >= 0 {
 				svc.Nodes[idx] = rn.Info
-				svc.nodeDaemon[rn.Info.NodeName] = di
 				adopted++
 				continue
 			}
 		}
 		// The journal never saw this node reach a live service (it was
-		// mid-priming, or its service was rejected at rebuild): reclaim
+		// mid-priming, or its service was dropped at takeover): reclaim
 		// the slice under the new epoch.
-		_ = d.Teardown(nl.epoch, rn.Info.NodeName)
+		_ = d.Teardown(nl.state.Epoch, rn.Info.NodeName)
 		orphans++
 	}
 	for _, hs := range report.Switches {
@@ -495,7 +470,7 @@ func (c *Cluster) daemonResynced(nl *Master, di int, report ResyncReport, rep jo
 	c.received++
 	nl.emit(EventDaemonResync, "", d.Host().Spec.Name,
 		fmt.Sprintf("epoch %d: %d node(s) adopted, %d orphan(s), %d image(s)",
-			nl.epoch, adopted, orphans, len(report.Chunks)))
+			nl.state.Epoch, adopted, orphans, len(report.Chunks)))
 	c.maybeComplete(nl, rep)
 }
 
@@ -512,7 +487,7 @@ func (c *Cluster) maybeComplete(nl *Master, rep journal.ReplayReport) {
 	now := c.k.Now()
 	for _, name := range nl.Services() {
 		svc := nl.services[name]
-		if svc.State == Active && svc.Switch != nil {
+		if svc.State() == Active && svc.Switch != nil {
 			nl.watchService(svc)
 		}
 	}
@@ -524,14 +499,14 @@ func (c *Cluster) maybeComplete(nl *Master, rep journal.ReplayReport) {
 		c.mttrHist.Observe(mttr.Seconds())
 	}
 	c.failovers = append(c.failovers, FailoverRecord{
-		At: now, Epoch: nl.epoch, MTTR: mttr, Resynced: c.received,
+		At: now, Epoch: nl.state.Epoch, MTTR: mttr, Resynced: c.received,
 		Replayed: rep.Records, Truncated: rep.Truncated,
 	})
 	nl.emit(EventFailover, "", "",
 		fmt.Sprintf("epoch %d leads: %d daemon(s) resynced, %d record(s) replayed, mttr %v",
-			nl.epoch, c.received, rep.Records, mttr))
+			nl.state.Epoch, c.received, rep.Records, mttr))
 	nl.flog.Info("failover complete",
-		telemetry.L("epoch", itoa(int(nl.epoch))),
+		telemetry.L("epoch", itoa(int(nl.state.Epoch))),
 		telemetry.L("resynced", itoa(c.received)),
 		telemetry.L("mttr", mttr.String()))
 
@@ -570,7 +545,7 @@ func (m *Master) Resume() { m.halted = false }
 func (m *Master) Halted() bool { return m.halted }
 
 // Epoch returns the Master's leadership epoch (0 when unclustered).
-func (m *Master) Epoch() uint64 { return m.epoch }
+func (m *Master) Epoch() uint64 { return m.state.Epoch }
 
 // Cluster returns the HA cluster this Master belongs to (nil when HA is
 // not enabled).
@@ -586,20 +561,9 @@ func (m *Master) currentLeader() *Master {
 	return m
 }
 
-// journal appends one state mutation to the write-ahead log, then
-// considers compaction. A no-op for unclustered or fenced masters.
-func (m *Master) journal(typ string, data any) {
-	if m.jlog == nil {
-		return
-	}
-	m.jlog.Append(int64(m.net.Kernel().Now()), typ, data)
-	m.maybeSnapshot(false)
-}
-
-// maybeSnapshot compacts the journal to a full-state snapshot. Unless
+// maybeSnapshot compacts the journal to a snapshot of the state. Unless
 // forced, it waits for SnapshotEvery accumulated records; either way it
-// refuses while any service is mid-priming, because the live state and
-// the replayed state only provably agree at quiescent points.
+// waits while any service is mid-priming.
 func (m *Master) maybeSnapshot(force bool) {
 	if m.jlog == nil {
 		return
@@ -607,10 +571,10 @@ func (m *Master) maybeSnapshot(force bool) {
 	if !force && (m.snapEvery <= 0 || m.jlog.TailRecords() < m.snapEvery) {
 		return
 	}
-	for _, svc := range m.services {
-		if svc.State != Active {
+	for _, js := range m.state.Services {
+		if ServiceState(js.State) != Active {
 			return
 		}
 	}
-	m.jlog.Snapshot(int64(m.net.Kernel().Now()), m.captureState())
+	m.jlog.Snapshot(int64(m.net.Kernel().Now()), m.state)
 }

@@ -2,6 +2,7 @@ package soda_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/accounting"
@@ -176,6 +177,9 @@ func TestFailoverTakeover(t *testing.T) {
 	if newSvc.Switch.Routed() < preRouted {
 		t.Fatal("switch routing counter went backwards")
 	}
+	if err := soda.LiveMatchesState(lead); err != nil {
+		t.Fatal(err)
+	}
 
 	// The new leader admits fresh work, reachable through the Agent.
 	spec2, _ := webSpec(tb, t, "web2", 1)
@@ -183,8 +187,8 @@ func TestFailoverTakeover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-failover creation failed: %v", err)
 	}
-	if svc2.State != soda.Active {
-		t.Fatalf("post-failover service state = %v", svc2.State)
+	if svc2.State() != soda.Active {
+		t.Fatalf("post-failover service state = %v", svc2.State())
 	}
 }
 
@@ -431,6 +435,9 @@ func compactionStream(t *testing.T, snapshotEvery int, seed uint64, heal bool) {
 			t.Fatalf("op %d (%s): replayed digest %.16s != live digest %.16s after %d record(s)",
 				i, op, replayed, liveDigest, rep.Records)
 		}
+		if err := soda.LiveMatchesState(tb.Master); err != nil {
+			t.Fatalf("op %d (%s): %v", i, op, err)
+		}
 	}
 }
 
@@ -500,8 +507,64 @@ func TestTakeoverReplayMatchesLiveUnderCompaction(t *testing.T) {
 			t.Fatalf("%d ms after the crash (%d failover(s)): replayed digest %.16s != live digest %.16s after %d record(s)",
 				10*(step+1), len(tb.Cluster.Failovers()), replayed, live, rep.Records)
 		}
+		if err := soda.LiveMatchesState(tb.Cluster.Leader()); err != nil {
+			t.Fatalf("%d ms after the crash: %v", 10*(step+1), err)
+		}
 	}
 	if len(tb.Cluster.Failovers()) != 1 {
 		t.Fatalf("%d failover(s) within 3 s of the crash, want 1", len(tb.Cluster.Failovers()))
+	}
+}
+
+// TestFailedGrowthReplayMatchesLive grows a one-node service while the
+// daemon of the host chosen for its new node crashes before the prime
+// lands. Only a committed node-primed record advances the service's next
+// node ID, so the failed placement leaves the live state equal to the
+// replayed journal; the in-flight name counter still moves past the
+// failed placement's name, so the next growth does not reuse it.
+func TestFailedGrowthReplayMatchesLive(t *testing.T) {
+	tb := haTestbed(t, nil)
+	spec, _ := webSpec(tb, t, "web", 1)
+	svc, err := tb.CreateService("genome-key", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resize := func(n int) error {
+		var rerr error
+		done := false
+		tb.Master.ResizeService("web", n, func(*soda.Service) { done = true }, func(err error) { rerr, done = err, true })
+		for w := 0; !done && w < 600; w++ {
+			tb.K.RunFor(100 * sim.Millisecond)
+		}
+		return rerr
+	}
+	var tacoma *soda.Daemon
+	for _, d := range tb.Daemons {
+		if d.Host().Spec.Name == "tacoma" {
+			tacoma = d
+		}
+	}
+	tb.K.After(0, tacoma.Crash)
+	if err := resize(4); err == nil || !strings.Contains(err.Error(), "tacoma: daemon is down") {
+		t.Fatalf("growth onto a crashing daemon: err = %v", err)
+	}
+	live := tb.Master.StateDigest()
+	if replayed, rep := soda.ReplayDigest(tb.Cluster.Journal().Bytes()); replayed != live {
+		t.Fatalf("after the failed growth: replayed digest %.16s != live digest %.16s after %d record(s)",
+			replayed, live, rep.Records)
+	}
+	tacoma.Restore()
+	if err := resize(4); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, n := range svc.Nodes {
+		got = append(got, n.NodeName)
+	}
+	if strings.Join(got, " ") != "web-0 web-2" {
+		t.Fatalf("nodes after regrowth = %v, want [web-0 web-2]", got)
+	}
+	if err := soda.LiveMatchesState(tb.Master); err != nil {
+		t.Fatal(err)
 	}
 }

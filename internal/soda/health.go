@@ -285,12 +285,12 @@ func (m *Master) hostDied(i int, detectedAt sim.Time) {
 	hostName := m.daemons[i].Host().Spec.Name
 	for _, name := range m.Services() {
 		svc := m.services[name]
-		if svc.State != Active {
+		if svc.State() != Active {
 			continue
 		}
 		var lost []NodeInfo
 		for _, n := range svc.Nodes {
-			if svc.nodeDaemon[n.NodeName] == i {
+			if di, _ := svc.daemonOf(n.NodeName); di == i {
 				lost = append(lost, n)
 			}
 		}
@@ -308,18 +308,18 @@ func (m *Master) nodeCrashed(service, node, reason string) {
 		return
 	}
 	svc, ok := m.services[service]
-	if !ok || svc.State != Active {
+	if !ok || svc.State() != Active {
 		return
 	}
 	info, ok := svc.NodeByName(node)
 	if !ok {
 		return
 	}
-	if di, ok := svc.nodeDaemon[node]; ok {
+	if di, ok := svc.daemonOf(node); ok {
 		// The host is alive: tear the dead node's slice down so its
 		// reservation, bridged IP, and disk return to the pool before the
 		// replacement is placed.
-		_ = m.daemons[di].Teardown(m.epoch, node)
+		_ = m.daemons[di].Teardown(m.state.Epoch, node)
 	}
 	m.recoverNodes(svc, []NodeInfo{info}, m.net.Kernel().Now(), "guest crash: "+reason)
 }
@@ -339,9 +339,8 @@ func (m *Master) recoverNodes(svc *Service, lost []NodeInfo, detectedAt sim.Time
 			svc.Switch.Unbind(svc.entry(n))
 		}
 		svc.Config.RemoveEntry(n.IP, n.Port)
-		delete(svc.nodeDaemon, n.NodeName)
 		svc.Nodes = slices.DeleteFunc(svc.Nodes, func(x NodeInfo) bool { return x.NodeName == n.NodeName })
-		m.journal("node-failed", jNodeRef{Service: svc.Spec.Name, Name: n.NodeName})
+		m.commit("node-failed", jNodeRef{Service: svc.Spec.Name, Name: n.NodeName})
 		m.emit(EventNodeFailed, svc.Spec.Name, n.NodeName,
 			fmt.Sprintf("%s (%s, cap %d)", cause, n.HostName, n.Capacity))
 		m.flog.Component("health").Error("node failed",
@@ -370,7 +369,7 @@ func (m *Master) restoreCapacity(svc *Service, lost []NodeInfo, lostCap int, det
 	if h == nil || lostCap <= 0 {
 		return
 	}
-	if cur, ok := m.services[svc.Spec.Name]; !ok || cur != svc || svc.State != Active {
+	if svc.State() != Active {
 		return
 	}
 	k := m.net.Kernel()

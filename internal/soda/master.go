@@ -30,15 +30,13 @@ type Master struct {
 
 	net       *simnet.Network
 	daemons   []*Daemon
-	services  map[string]*Service
 	observers []Observer
-	// settled holds the final metered usage of torn-down services until
-	// the Agent folds it into the owner's bill.
-	settled map[string]accounting.Usage
 
-	// Admitted and Rejected count creation requests; a partitioned
-	// request counts one admission per component.
-	Admitted, Rejected int
+	// state is the Master's logical state, changed only by commit (see
+	// state.go). services holds the live handles of the services it
+	// names: guests, switches, configuration files and in-flight primes.
+	state    *masterState
+	services map[string]*Service
 
 	// acct meters usage and evaluates SLOs for hosted services; nil when
 	// accounting is disabled.
@@ -57,18 +55,15 @@ type Master struct {
 	// slow threshold derived from the service's SLO latency target.
 	reqTraces *reqtrace.Store
 
-	// autos holds the demand-driven scaling controller of every service
-	// whose spec enables one (see autoscale.go). The map always exists;
-	// controllers are armed at admission and dropped at teardown.
+	// autos holds the live signal taps of each armed autoscaler (see
+	// autoscale.go); the controllers' runtime state is in state.
 	autos map[string]*autoscaler
 
-	// High availability (see ha.go). jlog is the write-ahead journal the
-	// Master appends every state mutation to; nil for unclustered masters
-	// and for a fenced old leader. epoch is the leadership epoch stamped
-	// on daemon commands; halted marks a crash-stopped Master process;
+	// High availability (see ha.go). jlog is the write-ahead journal
+	// commit appends every record to; nil for unclustered masters and for
+	// a fenced old leader. halted marks a crash-stopped Master process;
 	// snapEvery is the journal compaction threshold.
 	jlog      *journal.Log
-	epoch     uint64
 	cluster   *Cluster
 	halted    bool
 	snapEvery int
@@ -92,8 +87,7 @@ type Master struct {
 // is now created as the set of virtual service nodes and the service
 // switch").
 type Service struct {
-	Spec  ServiceSpec
-	State ServiceState
+	Spec ServiceSpec
 	// Nodes are the created virtual service nodes, switch host first.
 	Nodes []NodeInfo
 	// Config is the service configuration file inside the switch,
@@ -102,12 +96,46 @@ type Service struct {
 	// Switch routes client requests to the nodes.
 	Switch *svcswitch.Switch
 
+	// m is the Master whose state holds the service's logical record.
+	m *Master
 	// component tags the service's rows in Config when it is a component
 	// of a partitioned service, sharing Config and Switch with its
 	// siblings; empty for a plain service.
-	component  string
-	nodeDaemon map[string]int // node name → daemon index
+	component string
+	// priming binds each node still being primed to its daemon index;
+	// nextNodeID names the next one. A primed node's binding is in the
+	// state, and only a primed node advances the state's next node ID.
+	priming    map[string]int
 	nextNodeID int
+}
+
+// record returns the service's logical record, or nil once it is gone
+// from its Master.
+func (s *Service) record() *jServiceState {
+	if s.m.services[s.Spec.Name] != s {
+		return nil
+	}
+	return s.m.state.service(s.Spec.Name)
+}
+
+// State returns the service's lifecycle state.
+func (s *Service) State() ServiceState {
+	if js := s.record(); js != nil {
+		return ServiceState(js.State)
+	}
+	return TornDown
+}
+
+// daemonOf returns the index of the daemon that hosts — or is priming —
+// the named node.
+func (s *Service) daemonOf(node string) (int, bool) {
+	if js := s.record(); js != nil {
+		if n := js.node(node); n != nil {
+			return n.Daemon, true
+		}
+	}
+	di, ok := s.priming[node]
+	return di, ok
 }
 
 // TotalCapacity returns the service's current machine-instance count:
@@ -147,11 +175,18 @@ func NewMaster(net *simnet.Network, ip simnet.IP, daemons []*Daemon) (*Master, e
 		Factor:   SlowdownFactor,
 		net:      net,
 		daemons:  daemons,
+		state:    &masterState{},
 		services: make(map[string]*Service),
-		settled:  make(map[string]accounting.Usage),
 		autos:    make(map[string]*autoscaler),
 	}, nil
 }
+
+// Admitted counts admitted creation requests; a partitioned request
+// counts one admission per component.
+func (m *Master) Admitted() int { return m.state.Admitted }
+
+// Rejected counts refused creation requests.
+func (m *Master) Rejected() int { return m.state.Rejected }
 
 // Instrument connects the Master — and every switch it subsequently
 // creates — to a metrics registry and span tracer. Both may be nil
@@ -189,7 +224,7 @@ func (m *Master) mustAttach(call string, attached bool) {
 	switch {
 	case attached:
 		panic("soda: " + call + " called twice")
-	case m.Admitted > 0:
+	case m.state.Admitted > 0:
 		panic("soda: " + call + " after the first service; attach subsystems before creating services")
 	}
 }
@@ -207,10 +242,6 @@ func (m *Master) SetFlightLogger(l *flight.Logger) {
 		m.acct.SetLogger(l.Component("accounting"))
 	}
 }
-
-// FlightLogger returns the logger family attached via SetFlightLogger
-// (component "master"; nil when unset).
-func (m *Master) FlightLogger() *flight.Logger { return m.flog }
 
 // EnableAccounting attaches the usage-metering and SLO-evaluation
 // subsystem: services are watched on activation, resizes re-watch with
@@ -241,10 +272,6 @@ func (m *Master) EnableRequestTracing(st *reqtrace.Store) {
 	m.reqTraces = st
 }
 
-// RequestTraces returns the attached trace store (nil when request
-// tracing is disabled).
-func (m *Master) RequestTraces() *reqtrace.Store { return m.reqTraces }
-
 // UsageTotals returns a service's live cumulative metered usage.
 func (m *Master) UsageTotals(name string) (accounting.Usage, bool) {
 	if m.acct == nil {
@@ -256,12 +283,13 @@ func (m *Master) UsageTotals(name string) (accounting.Usage, bool) {
 // SettledUsage returns — and consumes — the final metered usage of a
 // torn-down service.
 func (m *Master) SettledUsage(name string) (accounting.Usage, bool) {
-	u, ok := m.settled[name]
-	if ok {
-		delete(m.settled, name)
-		m.journal("usage-claimed", jName{Service: name})
+	i, ok := m.state.settledAt(name)
+	if !ok {
+		return accounting.Usage{}, false
 	}
-	return u, ok
+	u := m.state.Settled[i].Usage
+	m.commit("usage-claimed", jName{Service: name})
+	return u, true
 }
 
 // nodeRefs converts a service's node records into meter references.
@@ -419,23 +447,21 @@ func (m *Master) createServices(file string, specs []ServiceSpec, onDone func([]
 		}
 		admission.Annotate("placements", fmt.Sprintf("%d", len(placements)))
 		admission.EndSpan()
-		m.Admitted++
 		m.admittedCtr.Inc()
 		if m.cluster != nil {
 			m.cluster.cacheSpec(spec)
 		}
 		svc := &Service{
-			Spec:       spec,
-			State:      Priming,
-			Config:     cfg,
-			component:  componentTag(spec.Name, file),
-			nodeDaemon: make(map[string]int),
+			Spec:      spec,
+			Config:    cfg,
+			m:         m,
+			component: componentTag(spec.Name, file),
+			priming:   make(map[string]int),
 		}
 		m.services[spec.Name] = svc
 		svcs = append(svcs, svc)
-		m.armAutoscaler(spec)
 		m.activeServices.Set(float64(len(m.services)))
-		m.journal("service-admitted", specOf(spec))
+		m.commit("service-admitted", specOf(spec))
 		m.emit(EventAdmitted, spec.Name, "",
 			fmt.Sprintf("<%d, M> over %d node(s), strategy %v", spec.Requirement.N, len(placements), m.Strategy))
 		m.flog.WithTrace(root.TraceID()).Info("service admitted",
@@ -462,8 +488,7 @@ func (m *Master) createServices(file string, specs []ServiceSpec, onDone func([]
 			build.EndSpan()
 			home := svcs[0].Nodes[0].NodeName
 			for j, s := range svcs {
-				s.State = Active
-				m.journal("service-active", jName{Service: s.Spec.Name})
+				m.commit("service-active", jName{Service: s.Spec.Name})
 				roots[j].EndSpan()
 				m.watchService(s)
 				m.emit(EventServiceActive, s.Spec.Name, "",
@@ -483,9 +508,8 @@ func (m *Master) createServices(file string, specs []ServiceSpec, onDone func([]
 // reject counts, journals and announces a refused creation request, then
 // reports err.
 func (m *Master) reject(name string, err error, root *telemetry.Span, onErr func(error)) {
-	m.Rejected++
 	m.rejectedCtr.Inc()
-	m.journal("service-rejected", jName{Service: name})
+	m.commit("service-rejected", jName{Service: name})
 	m.emit(EventRejected, name, "", err.Error())
 	m.flog.WithTrace(root.TraceID()).Error("service rejected",
 		telemetry.L("service", name), telemetry.L("error", err.Error()))
@@ -507,14 +531,14 @@ func (m *Master) reject(name string, err error, root *telemetry.Span, onErr func
 // A node of a service still Priming joins svc.Nodes only once every
 // placement has reported, sorted by name, so the switch homes on the
 // lowest-named node; a node of a live service joins at once. Either way
-// node-primed is journaled after that mutation (DESIGN §14), and then
-// onPrimed runs: the caller's event, switch binding or re-homing. A
-// failed placement drops its node's daemon binding. onFinish reports the
+// node-primed is committed, and then onPrimed runs: the caller's event,
+// switch binding or re-homing. A placement holds its daemon binding in
+// svc.priming until it is committed or fails. onFinish reports the
 // instances left unplaced and the last error.
 func (m *Master) primeNodes(svc *Service, placements []Placement, parent *telemetry.Span, spanName string,
 	onPrimed func(NodeInfo), onFinish func(unplaced int, err error)) {
 	spec := svc.Spec
-	creating := svc.State == Priming
+	creating := svc.State() == Priming
 	remaining := len(placements)
 	unplaced := 0
 	var lastErr error
@@ -534,12 +558,12 @@ func (m *Master) primeNodes(svc *Service, placements []Placement, parent *teleme
 		d := m.daemons[pl.Index]
 		nodeName := fmt.Sprintf("%s-%d", spec.Name, svc.nextNodeID)
 		svc.nextNodeID++
-		svc.nodeDaemon[nodeName] = pl.Index
+		svc.priming[nodeName] = pl.Index
 		prime := parent.StartChild(spanName,
 			telemetry.L("node", nodeName), telemetry.L("host", d.Host().Spec.Name))
 		fail := func(err error) {
 			prime.Fail(err)
-			delete(svc.nodeDaemon, nodeName)
+			delete(svc.priming, nodeName)
 			unplaced += pl.Instances
 			lastErr = err
 			finishOne()
@@ -557,15 +581,16 @@ func (m *Master) primeNodes(svc *Service, placements []Placement, parent *teleme
 				Port:         servicePort(spec),
 				FanOut:       len(placements),
 				Span:         prime,
-				Epoch:        m.epoch,
+				Epoch:        m.state.Epoch,
 			}, func(info NodeInfo) {
 				prime.EndSpan()
+				delete(svc.priming, nodeName)
 				if creating {
 					created = append(created, info)
 				} else {
 					svc.Nodes = append(svc.Nodes, info)
 				}
-				m.journal("node-primed", jNodePrimed{
+				m.commit("node-primed", jNodePrimed{
 					jNode:  jNodeOf(spec.Name, info, pl.Index),
 					NextID: svc.nextNodeID,
 				})
@@ -687,28 +712,29 @@ func (s *Service) bind(n NodeInfo) {
 
 // homeSwitch records that the service switch now runs in the named node:
 // the hosting daemon adopts the live switch object (so it can hand it to
-// a new leader during resynchronization) and the adoption is journaled.
+// a new leader during resynchronization) and the adoption is committed.
 func (m *Master) homeSwitch(svc *Service, nodeName string) {
-	if di, ok := svc.nodeDaemon[nodeName]; ok {
+	if di, ok := svc.daemonOf(nodeName); ok {
 		for _, d := range m.daemons {
 			d.DropSwitch(svc.Spec.Name)
 		}
 		m.daemons[di].AdoptSwitch(svc.Spec.Name, svc.Switch, svc.Config)
 	}
-	m.journal("switch-homed", jNodeRef{Service: svc.Spec.Name, Name: nodeName})
+	m.commit("switch-homed", jNodeRef{Service: svc.Spec.Name, Name: nodeName})
 }
 
-// rollback tears down whatever priming already produced.
+// rollback tears down whatever priming already produced, in node-name
+// order. It runs once every placement has reported, so the primed nodes
+// are the committed ones; a failed placement's daemon cleaned up itself.
 func (m *Master) rollback(svc *Service) {
-	for nodeName, di := range svc.nodeDaemon {
-		// Nodes that never finished priming are cleaned up by the daemon
-		// itself; Teardown only finds the finished ones.
-		_ = m.daemons[di].Teardown(m.epoch, nodeName)
+	if js := svc.record(); js != nil { // nil when torn down mid-priming
+		for _, n := range js.Nodes {
+			_ = m.daemons[n.Daemon].Teardown(m.state.Epoch, n.Name)
+		}
 	}
-	svc.State = TornDown
 	delete(m.services, svc.Spec.Name)
 	delete(m.autos, svc.Spec.Name)
-	m.journal("service-removed", jName{Service: svc.Spec.Name})
+	m.commit("service-removed", jName{Service: svc.Spec.Name})
 	m.activeServices.Set(float64(len(m.services)))
 	m.flog.Warn("priming rolled back", telemetry.L("service", svc.Spec.Name))
 }
@@ -725,7 +751,7 @@ func (m *Master) TeardownService(name string) error {
 	}
 	sp := m.tracer.StartRoot("service.teardown", telemetry.L("service", name))
 	for _, n := range svc.Nodes {
-		di := svc.nodeDaemon[n.NodeName]
+		di, _ := svc.daemonOf(n.NodeName)
 		d := m.daemons[di]
 		if d.Crashed() {
 			// A crash-stopped host can't execute teardown — its guests are
@@ -733,7 +759,7 @@ func (m *Master) TeardownService(name string) error {
 			// service must not fail on it.
 			continue
 		}
-		if err := d.Teardown(m.epoch, n.NodeName); err != nil {
+		if err := d.Teardown(m.state.Epoch, n.NodeName); err != nil {
 			sp.Fail(err)
 			return err
 		}
@@ -741,14 +767,12 @@ func (m *Master) TeardownService(name string) error {
 	for _, d := range m.daemons {
 		d.DropSwitch(name)
 	}
-	svc.State = TornDown
 	delete(m.services, name)
 	delete(m.autos, name)
-	m.journal("service-torndown", jName{Service: name})
+	m.commit("service-torndown", jName{Service: name})
 	if m.acct != nil {
 		if u, watched := m.acct.Unwatch(name); watched {
-			m.settled[name] = u
-			m.journal("usage-settled", jSettled{Service: name, Usage: u})
+			m.commit("usage-settled", jSettled{Service: name, Usage: u})
 		}
 	}
 	m.activeServices.Set(float64(len(m.services)))

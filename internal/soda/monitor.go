@@ -74,7 +74,7 @@ func (m *Master) Status(name string) (*ServiceStatus, error) {
 	}
 	st := &ServiceStatus{
 		Name:          svc.Spec.Name,
-		State:         svc.State,
+		State:         svc.State(),
 		Capacity:      svc.TotalCapacity(),
 		ConfigVersion: svc.Config.Version(),
 	}

@@ -348,6 +348,9 @@ func TestPartitionedJournalReplayMatchesLive(t *testing.T) {
 					t.Fatalf("after %s: replayed digest %.16s != live digest %.16s after %d record(s)",
 						step, replayed, live, rep.Records)
 				}
+				if err := soda.LiveMatchesState(tb.Cluster.Leader()); err != nil {
+					t.Fatalf("after %s: %v", step, err)
+				}
 			}
 			ps, _, _ := createPartitioned(t, tb)
 			check("create")
@@ -377,6 +380,9 @@ func TestPartitionedTakeoverRestoresComponents(t *testing.T) {
 		t.Fatalf("%d failover(s), want 1", len(tb.Cluster.Failovers()))
 	}
 	nl := tb.Cluster.Leader()
+	if err := soda.LiveMatchesState(nl); err != nil {
+		t.Fatal(err)
+	}
 	for _, comp := range ps.ComponentNames() {
 		svc, ok := nl.Service("storefront/" + comp)
 		if !ok || svc.Switch != ps.Switch || svc.Config != ps.Config {
@@ -422,5 +428,8 @@ func TestPartitionedTakeoverRestoresComponents(t *testing.T) {
 	}
 	if replayed, _ := soda.ReplayDigest(tb.Cluster.Journal().Bytes()); replayed != nl.StateDigest() {
 		t.Fatal("replayed digest != live digest after takeover")
+	}
+	if err := soda.LiveMatchesState(nl); err != nil {
+		t.Fatal(err)
 	}
 }

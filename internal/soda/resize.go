@@ -31,8 +31,8 @@ func (m *Master) ResizeService(name string, newN int, onDone func(*Service), onE
 		fail(fmt.Errorf("soda: no service %q", name))
 		return
 	}
-	if svc.State != Active {
-		fail(fmt.Errorf("soda: service %q is %v, not active", name, svc.State))
+	if st := svc.State(); st != Active {
+		fail(fmt.Errorf("soda: service %q is %v, not active", name, st))
 		return
 	}
 	if newN <= 0 {
@@ -84,24 +84,24 @@ func (m *Master) shrink(svc *Service, delta int) error {
 		}
 		newCap := n.Capacity - trim
 		nodeName := n.NodeName
-		d := m.daemons[svc.nodeDaemon[nodeName]]
+		di, _ := svc.daemonOf(nodeName)
+		d := m.daemons[di]
 		entry := svc.entry(*n)
 		if newCap == 0 {
 			svc.Switch.Unbind(entry)
-			if err := d.Teardown(m.epoch, nodeName); err != nil {
+			if err := d.Teardown(m.state.Epoch, nodeName); err != nil {
 				return err
 			}
-			delete(svc.nodeDaemon, nodeName)
 			svc.Nodes = append(svc.Nodes[:i], svc.Nodes[i+1:]...)
 			svc.Config.RemoveEntry(entry.IP, entry.Port)
-			m.journal("node-removed", jNodeRef{Service: svc.Spec.Name, Name: nodeName})
+			m.commit("node-removed", jNodeRef{Service: svc.Spec.Name, Name: nodeName})
 		} else {
-			info, err := d.ResizeNode(m.epoch, n.NodeName, svc.Spec.Requirement.M, newCap, m.Factor)
+			info, err := d.ResizeNode(m.state.Epoch, n.NodeName, svc.Spec.Requirement.M, newCap, m.Factor)
 			if err != nil {
 				return err
 			}
 			n.Capacity = info.Capacity
-			m.journal("node-resized", jNodeRef{Service: svc.Spec.Name, Name: n.NodeName, Capacity: info.Capacity})
+			m.commit("node-resized", jNodeRef{Service: svc.Spec.Name, Name: n.NodeName, Capacity: info.Capacity})
 			m.refreshConfig(svc)
 		}
 		delta -= trim
@@ -156,13 +156,13 @@ func (m *Master) growInPlace(svc *Service, delta int) int {
 				break
 			}
 			n := &svc.Nodes[i]
-			d := m.daemons[svc.nodeDaemon[n.NodeName]]
-			info, err := d.ResizeNode(m.epoch, n.NodeName, svc.Spec.Requirement.M, n.Capacity+1, m.Factor)
+			di, _ := svc.daemonOf(n.NodeName)
+			info, err := m.daemons[di].ResizeNode(m.state.Epoch, n.NodeName, svc.Spec.Requirement.M, n.Capacity+1, m.Factor)
 			if err != nil {
 				continue
 			}
 			n.Capacity = info.Capacity
-			m.journal("node-resized", jNodeRef{Service: svc.Spec.Name, Name: n.NodeName, Capacity: info.Capacity})
+			m.commit("node-resized", jNodeRef{Service: svc.Spec.Name, Name: n.NodeName, Capacity: info.Capacity})
 			delta--
 			progress = true
 		}
@@ -171,10 +171,13 @@ func (m *Master) growInPlace(svc *Service, delta int) int {
 }
 
 // placeFresh allocates n more instances of the service's machine
-// configuration on hosts the service does not occupy yet.
+// configuration on hosts the service neither occupies nor is priming on.
 func (m *Master) placeFresh(svc *Service, n int) ([]Placement, error) {
 	occupied := make(map[int]bool)
-	for _, di := range svc.nodeDaemon {
+	for _, node := range svc.record().Nodes {
+		occupied[node.Daemon] = true
+	}
+	for _, di := range svc.priming {
 		occupied[di] = true
 	}
 	var avail []HostAvail

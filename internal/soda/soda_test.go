@@ -56,8 +56,8 @@ func TestServiceCreationEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.State != soda.Active {
-		t.Fatalf("state = %v", svc.State)
+	if svc.State() != soda.Active {
+		t.Fatalf("state = %v", svc.State())
 	}
 	if len(svc.Nodes) != 2 {
 		t.Fatalf("nodes = %d, want 2 (spread 2+1)", len(svc.Nodes))
@@ -108,8 +108,8 @@ func TestAdmissionControlRejectsOversizedRequests(t *testing.T) {
 	if _, err := tb.CreateService("genome-key", spec); err == nil {
 		t.Fatal("oversized request admitted")
 	}
-	if tb.Master.Rejected != 1 || tb.Master.Admitted != 0 {
-		t.Fatalf("admitted=%d rejected=%d", tb.Master.Admitted, tb.Master.Rejected)
+	if tb.Master.Rejected() != 1 || tb.Master.Admitted() != 0 {
+		t.Fatalf("admitted=%d rejected=%d", tb.Master.Admitted(), tb.Master.Rejected())
 	}
 	// A failed admission must not leak reservations.
 	for _, d := range tb.Daemons {
@@ -167,8 +167,8 @@ func TestTeardownReleasesEverything(t *testing.T) {
 	if err := tb.Teardown("genome-key", "web"); err != nil {
 		t.Fatal(err)
 	}
-	if svc.State != soda.TornDown {
-		t.Fatalf("state = %v", svc.State)
+	if svc.State() != soda.TornDown {
+		t.Fatalf("state = %v", svc.State())
 	}
 	for _, ip := range nodeIPs {
 		if _, ok := tb.Net.Lookup(ip); ok {

@@ -1,36 +1,45 @@
 package soda
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/accounting"
 	"repro/internal/autoscale"
 	"repro/internal/journal"
+	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/svcswitch"
 )
 
-// The Master's journaled state. Every control-plane mutation appends a
-// typed record to the write-ahead journal (internal/journal); replaying
-// the journal reconstructs masterState, the logical form of everything
-// the Master knows that cannot be re-derived from the daemons alone:
-// hosted services and their node bindings, admission counters, settled
-// usage, and the chunk tracker's holder occupancy. Function-valued spec
-// fields (Behavior, SwitchPolicy) are deliberately absent — they are
-// code, not state, and the HA layer re-supplies them from its spec cache
-// after a failover.
+// The Master's journaled state. masterState is the logical form of
+// everything the Master knows that cannot be re-derived from the daemons
+// alone: hosted services and their node bindings, admission counters,
+// settled usage, autoscaler runtime state, and the chunk tracker's holder
+// occupancy. It changes only through Master.commit, which applies a typed
+// record and appends it to the write-ahead journal (internal/journal);
+// replaying the journal folds the same records through the same apply,
+// so the live and the replayed state cannot disagree. Function-valued
+// spec fields (Behavior, SwitchPolicy) are deliberately absent — they
+// are code, not state, and the HA layer re-supplies them from its spec
+// cache after a failover.
 //
-// Journal record types:
+// Journal record types; apply is the one place each record's effect is
+// defined:
 //
 //	service-admitted   jService    insert priming service, Admitted++
 //	                               (one per partitioned component)
 //	service-rejected   jName       Rejected++, drop service if present
 //	service-removed    jName       drop service (rollback)
-//	node-primed        jNodePrimed append node, advance next node ID
-//	node-failed        jNodeRef    remove node (host/guest death)
+//	node-primed        jNodePrimed insert node, advance next node ID; a
+//	                               service without a home homes here
+//	node-failed        jNodeRef    remove node (host/guest death); a lost
+//	                               home passes to the lowest-named survivor
 //	node-removed       jNodeRef    remove node (shrink)
 //	node-resized       jNodeRef    set node capacity
 //	service-active     jName       mark service Active
@@ -43,7 +52,9 @@ import (
 //	chunk-full         jChunk      holder assembled the whole image
 //	chunk-forget       jChunkRef   holder dropped its store
 //	chunk-reset        (none)      tracker rebuilt from scratch (failover)
-//	epoch              jEpoch      leadership epoch advanced
+//	epoch              jEpoch      leadership epoch advanced; services
+//	                               caught mid-priming and the tracker's
+//	                               holders are dropped (takeover)
 //	autoscale-decision jAutoscale  controller committed to a resize (pending)
 //	autoscale-blocked  jAutoscale  controller wanted a move a guard refused
 //	autoscale-done     jAutoscale  pending resize completed or failed
@@ -150,15 +161,8 @@ type jAutoscale struct {
 // itself rides inside the service's jService, so arming replays from
 // service-admitted with no extra record.
 type jAutoscalerState struct {
-	Service       string `json:"service"`
-	LastUpNs      int64  `json:"last_up_ns,omitempty"`
-	LastDownNs    int64  `json:"last_down_ns,omitempty"`
-	Ups           uint64 `json:"ups,omitempty"`
-	Downs         uint64 `json:"downs,omitempty"`
-	Blocked       uint64 `json:"blocked,omitempty"`
-	Pending       bool   `json:"pending,omitempty"`
-	PendingTarget int    `json:"pending_target,omitempty"`
-	PendingDir    string `json:"pending_dir,omitempty"`
+	Service string `json:"service"`
+	autoscale.State
 }
 
 // jServiceState is one service's full journaled state.
@@ -179,10 +183,12 @@ type jHolder struct {
 	Total  int    `json:"total"`
 }
 
-// masterState is the Master's complete logical state: what a replay of
-// the journal reconstructs, and what StateDigest hashes. All slices are
-// kept sorted so the JSON encoding — and therefore the digest — is
-// deterministic.
+// masterState is the Master's complete logical state: what commit
+// changes, what a replay of the journal reconstructs, and what
+// StateDigest hashes. Every slice is kept sorted by its key (services,
+// nodes, settled bills and autoscalers by name; holders by image, then
+// daemon), so the JSON encoding — and therefore the digest — is
+// canonical.
 type masterState struct {
 	Epoch       uint64             `json:"epoch"`
 	Admitted    int                `json:"admitted"`
@@ -193,27 +199,83 @@ type masterState struct {
 	Autoscalers []jAutoscalerState `json:"autoscalers,omitempty"`
 }
 
-// digest hashes the canonical JSON encoding.
-func (s *masterState) digest() string {
-	blob, err := json.Marshal(s)
+// digest hashes the canonical JSON encoding of v.
+func digest(v any) string {
+	blob, err := json.Marshal(v)
 	if err != nil {
 		panic(fmt.Sprintf("soda: state digest: %v", err))
 	}
 	return fmt.Sprintf("%x", sha256.Sum256(blob))
 }
 
+// serviceAt finds the named service: its index, or where it would be
+// inserted.
+func (s *masterState) serviceAt(name string) (int, bool) {
+	return slices.BinarySearchFunc(s.Services, name, func(x jServiceState, k string) int { return strings.Compare(x.Name, k) })
+}
+
 // service returns the named service's state, or nil.
 func (s *masterState) service(name string) *jServiceState {
-	for i := range s.Services {
-		if s.Services[i].Name == name {
-			return &s.Services[i]
-		}
+	if i, ok := s.serviceAt(name); ok {
+		return &s.Services[i]
 	}
 	return nil
 }
 
+// node returns the named node of a service's state, or nil.
+func (js *jServiceState) node(name string) *jNode {
+	if i, ok := nodeAt(js.Nodes, name); ok {
+		return &js.Nodes[i]
+	}
+	return nil
+}
+
+func nodeAt(nodes []jNode, name string) (int, bool) {
+	return slices.BinarySearchFunc(nodes, name, func(x jNode, k string) int { return strings.Compare(x.Name, k) })
+}
+
+func (s *masterState) settledAt(name string) (int, bool) {
+	return slices.BinarySearchFunc(s.Settled, name, func(x jSettled, k string) int { return strings.Compare(x.Service, k) })
+}
+
+func (s *masterState) autoscalerAt(name string) (int, bool) {
+	return slices.BinarySearchFunc(s.Autoscalers, name, func(x jAutoscalerState, k string) int { return strings.Compare(x.Service, k) })
+}
+
+// autoscaler returns one service's autoscaler state, or nil.
+func (s *masterState) autoscaler(name string) *autoscale.State {
+	if i, ok := s.autoscalerAt(name); ok {
+		return &s.Autoscalers[i].State
+	}
+	return nil
+}
+
+func (s *masterState) holderAt(image string, daemon int) (int, bool) {
+	return slices.BinarySearchFunc(s.Holders, jHolder{Image: image, Daemon: daemon}, func(x, k jHolder) int {
+		return cmp.Or(strings.Compare(x.Image, k.Image), cmp.Compare(x.Daemon, k.Daemon))
+	})
+}
+
+// holder returns the occupancy entry for one (image, daemon) pair, or nil.
+func (s *masterState) holder(image string, daemon int) *jHolder {
+	if i, ok := s.holderAt(image, daemon); ok {
+		return &s.Holders[i]
+	}
+	return nil
+}
+
+// removeService drops one service — and its autoscaler — from the state.
+func (s *masterState) removeService(name string) {
+	if i, ok := s.serviceAt(name); ok {
+		s.Services = slices.Delete(s.Services, i, i+1)
+	}
+	if i, ok := s.autoscalerAt(name); ok {
+		s.Autoscalers = slices.Delete(s.Autoscalers, i, i+1)
+	}
+}
+
 // specOf converts a live spec into its journaled form. The autoscale
-// policy is journaled normalized so live arming, capture, and replay
+// policy is journaled normalized so the controller, the state and replay
 // all see identical field values.
 func specOf(spec ServiceSpec) jService {
 	return jService{
@@ -245,97 +307,204 @@ func (j jService) logicalSpec() ServiceSpec {
 	}
 }
 
-// captureState serializes the Master's live state into its logical form.
-func (m *Master) captureState() *masterState {
-	st := &masterState{
-		Epoch:    m.epoch,
-		Admitted: m.Admitted,
-		Rejected: m.Rejected,
+// commit is the only way the Master's logical state changes: it applies
+// the typed record with the same apply that replay folds the journal
+// through, then — when a journal is attached — appends the record and
+// considers compaction. A snapshot an append triggers therefore always
+// holds the record it follows.
+func (m *Master) commit(typ string, rec any) {
+	m.state.apply(typ, rec)
+	if m.jlog == nil {
+		return
 	}
-	for _, name := range m.Services() {
-		svc := m.services[name]
-		js := jServiceState{
-			jService:   specOf(svc.Spec),
-			State:      int(svc.State),
-			NextNodeID: svc.nextNodeID,
-		}
-		if len(svc.Nodes) > 0 {
-			js.Home = svc.Nodes[0].NodeName
-		}
-		for _, n := range svc.Nodes {
-			js.Nodes = append(js.Nodes, jNodeOf("", n, svc.nodeDaemon[n.NodeName]))
-		}
-		sort.Slice(js.Nodes, func(i, j int) bool { return js.Nodes[i].Name < js.Nodes[j].Name })
-		st.Services = append(st.Services, js)
-	}
-	for name, u := range m.settled {
-		st.Settled = append(st.Settled, jSettled{Service: name, Usage: u})
-	}
-	sort.Slice(st.Settled, func(i, j int) bool { return st.Settled[i].Service < st.Settled[j].Service })
-	st.Holders = captureHolders(m.chunkDist)
-	autoNames := make([]string, 0, len(m.autos))
-	for n := range m.autos {
-		autoNames = append(autoNames, n)
-	}
-	sort.Strings(autoNames)
-	for _, n := range autoNames {
-		st.Autoscalers = append(st.Autoscalers, m.autos[n].captured(n))
-	}
-	return st
+	m.jlog.Append(int64(m.net.Kernel().Now()), typ, rec)
+	m.maybeSnapshot(false)
 }
 
-// captureHolders flattens the chunk tracker's occupancy into the sorted
-// journaled form.
-func captureHolders(t *chunkTracker) []jHolder {
-	if t == nil {
-		return nil
-	}
-	var out []jHolder
-	names := make([]string, 0, len(t.images))
-	for n := range t.images {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		ih := t.images[n]
-		idxs := make([]int, 0, len(ih.perDaemon))
-		for di := range ih.perDaemon {
-			idxs = append(idxs, di)
+// apply folds one typed record into the state. rec is the payload type
+// the table above names for typ.
+func (s *masterState) apply(typ string, rec any) {
+	switch typ {
+	case "service-admitted":
+		js := rec.(jService)
+		s.Admitted++
+		i, dup := s.serviceAt(js.Name)
+		if dup {
+			return
 		}
-		sort.Ints(idxs)
-		for _, di := range idxs {
-			out = append(out, jHolder{
-				Image: n, Daemon: di, Chunks: ih.perDaemon[di],
-				Full: ih.full[di], Total: ih.chunkTotal,
-			})
+		s.Services = slices.Insert(s.Services, i, jServiceState{jService: js, State: int(Priming)})
+		if js.Autoscale.Enabled() {
+			// Arming is implicit in admission: the live Master runs the
+			// controller the instant the spec is committed.
+			j, _ := s.autoscalerAt(js.Name)
+			s.Autoscalers = slices.Insert(s.Autoscalers, j, jAutoscalerState{Service: js.Name})
 		}
+	case "service-rejected":
+		s.Rejected++
+		s.removeService(rec.(jName).Service)
+	case "service-removed", "service-torndown":
+		s.removeService(rec.(jName).Service)
+	case "service-active":
+		if js := s.service(rec.(jName).Service); js != nil {
+			js.State = int(Active)
+		}
+	case "node-primed":
+		np := rec.(jNodePrimed)
+		js := s.service(np.Service)
+		if js == nil {
+			return
+		}
+		node := np.jNode
+		node.Service = ""
+		if i, ok := nodeAt(js.Nodes, node.Name); ok {
+			js.Nodes[i] = node
+		} else {
+			js.Nodes = slices.Insert(js.Nodes, i, node)
+		}
+		if js.Home == "" {
+			js.Home = node.Name
+		}
+		js.NextNodeID = max(js.NextNodeID, np.NextID)
+	case "node-failed", "node-removed":
+		nr := rec.(jNodeRef)
+		js := s.service(nr.Service)
+		if js == nil {
+			return
+		}
+		if i, ok := nodeAt(js.Nodes, nr.Name); ok {
+			js.Nodes = slices.Delete(js.Nodes, i, i+1)
+		}
+		if js.Home == nr.Name {
+			// The Master re-homes the switch on the first survivor.
+			js.Home = ""
+			if len(js.Nodes) > 0 {
+				js.Home = js.Nodes[0].Name
+			}
+		}
+	case "node-resized":
+		nr := rec.(jNodeRef)
+		if js := s.service(nr.Service); js != nil {
+			if n := js.node(nr.Name); n != nil {
+				n.Capacity = nr.Capacity
+			}
+		}
+	case "switch-homed":
+		nr := rec.(jNodeRef)
+		if js := s.service(nr.Service); js != nil {
+			js.Home = nr.Name
+		}
+	case "usage-settled":
+		u := rec.(jSettled)
+		if i, ok := s.settledAt(u.Service); ok {
+			s.Settled[i] = u
+		} else {
+			s.Settled = slices.Insert(s.Settled, i, u)
+		}
+	case "usage-claimed":
+		if i, ok := s.settledAt(rec.(jName).Service); ok {
+			s.Settled = slices.Delete(s.Settled, i, i+1)
+		}
+	case "chunk-announce":
+		// The live tracker commits only first-time inserts, so the
+		// holder's count grows by one; the image's chunk total ratchets up
+		// across all its holders.
+		jc := rec.(jChunk)
+		i, ok := s.holderAt(jc.Image, jc.Daemon)
+		if !ok {
+			s.Holders = slices.Insert(s.Holders, i, jHolder{Image: jc.Image, Daemon: jc.Daemon, Total: jc.Total})
+		}
+		s.Holders[i].Chunks++
+		first, _ := s.holderAt(jc.Image, math.MinInt)
+		for j := first; j < len(s.Holders) && s.Holders[j].Image == jc.Image; j++ {
+			s.Holders[j].Total = max(s.Holders[j].Total, jc.Total)
+		}
+	case "chunk-full":
+		jc := rec.(jChunk)
+		if h := s.holder(jc.Image, jc.Daemon); h != nil {
+			h.Full = true
+		}
+	case "chunk-forget":
+		d := rec.(jChunkRef).Daemon
+		s.Holders = slices.DeleteFunc(s.Holders, func(h jHolder) bool { return h.Daemon == d })
+	case "chunk-reset":
+		s.Holders = nil
+	case "epoch":
+		// A takeover: services the old leader was still priming are lost
+		// (their rejection follows), and the tracker restarts empty, to be
+		// refilled from the daemons' resynchronization announces.
+		s.Epoch = rec.(jEpoch).Epoch
+		s.Holders = nil
+		s.Services = slices.DeleteFunc(s.Services, func(js jServiceState) bool { return ServiceState(js.State) != Active })
+		s.Autoscalers = slices.DeleteFunc(s.Autoscalers, func(a jAutoscalerState) bool { return s.service(a.Service) == nil })
+	case "autoscale-decision":
+		ja := rec.(jAutoscale)
+		if a := s.autoscaler(ja.Service); a != nil {
+			a.Pending = true
+			a.PendingTarget = ja.To
+			a.PendingDir = ja.Dir
+		}
+	case "autoscale-blocked":
+		if a := s.autoscaler(rec.(jAutoscale).Service); a != nil {
+			a.Blocked++
+		}
+	case "autoscale-done":
+		// A failed resize still stamps the direction's cooldown clock —
+		// the cooldown doubles as retry backoff — and counts as blocked.
+		ja := rec.(jAutoscale)
+		a := s.autoscaler(ja.Service)
+		if a == nil {
+			return
+		}
+		a.Pending = false
+		a.PendingTarget = 0
+		a.PendingDir = ""
+		if ja.Dir == "up" {
+			a.LastUp = sim.Time(ja.AtNs)
+		} else {
+			a.LastDown = sim.Time(ja.AtNs)
+		}
+		switch {
+		case !ja.OK:
+			a.Blocked++
+		case ja.Dir == "up":
+			a.Ups++
+		default:
+			a.Downs++
+		}
+	default:
+		panic("soda: unknown record type " + typ)
 	}
-	return out
 }
 
-// StateDigest returns a SHA-256 over the Master's logical state. Two
-// Masters with the same digest host the same services with the same node
-// bindings, counters, settled bills, and tracker occupancy — the
-// verification currency of the HA subsystem.
-func (m *Master) StateDigest() string { return m.captureState().digest() }
-
-// TrackerDigest returns a SHA-256 over the chunk tracker's holder
-// occupancy alone. The failover regression compares it before the crash
-// and after the new leader rebuilt the map purely from daemon announces.
-func (m *Master) TrackerDigest() string {
-	blob, err := json.Marshal(captureHolders(m.chunkDist))
-	if err != nil {
-		panic(fmt.Sprintf("soda: tracker digest: %v", err))
-	}
-	return fmt.Sprintf("%x", sha256.Sum256(blob))
+// payloads decodes each record type's payload into the value apply
+// takes.
+var payloads = map[string]func([]byte) (any, error){
+	"service-admitted":   decode[jService],
+	"service-rejected":   decode[jName],
+	"service-removed":    decode[jName],
+	"service-torndown":   decode[jName],
+	"service-active":     decode[jName],
+	"node-primed":        decode[jNodePrimed],
+	"node-failed":        decode[jNodeRef],
+	"node-removed":       decode[jNodeRef],
+	"node-resized":       decode[jNodeRef],
+	"switch-homed":       decode[jNodeRef],
+	"usage-settled":      decode[jSettled],
+	"usage-claimed":      decode[jName],
+	"chunk-announce":     decode[jChunk],
+	"chunk-full":         decode[jChunk],
+	"chunk-forget":       decode[jChunkRef],
+	"chunk-reset":        decode[struct{}],
+	"epoch":              decode[jEpoch],
+	"autoscale-decision": decode[jAutoscale],
+	"autoscale-blocked":  decode[jAutoscale],
+	"autoscale-done":     decode[jAutoscale],
 }
 
-// ReplayDigest replays a journal image and returns the digest of the
-// reconstructed state plus the replay report. Comparing it against the
-// pre-crash StateDigest proves the journal captured everything.
-func ReplayDigest(data []byte) (string, journal.ReplayReport) {
-	recs, rep := journal.Replay(data)
-	return replayState(recs).digest(), rep
+func decode[T any](data []byte) (any, error) {
+	var v T
+	err := json.Unmarshal(data, &v)
+	return v, err
 }
 
 // replayState folds journal records into the logical Master state. It is
@@ -344,274 +513,44 @@ func ReplayDigest(data []byte) (string, journal.ReplayReport) {
 func replayState(recs []journal.Record) *masterState {
 	st := &masterState{}
 	for _, rec := range recs {
-		switch rec.Type {
-		case journal.SnapshotType:
+		if rec.Type == journal.SnapshotType {
 			var snap masterState
 			if json.Unmarshal(rec.Data, &snap) == nil {
 				st = &snap
 			}
-		case "service-admitted":
-			var js jService
-			if json.Unmarshal(rec.Data, &js) != nil {
-				continue
-			}
-			st.Admitted++
-			if st.service(js.Name) == nil {
-				st.Services = append(st.Services, jServiceState{jService: js, State: int(Priming)})
-				if js.Autoscale.Enabled() {
-					// Arming is implicit in admission: the live Master creates
-					// the autoscaler the instant the spec is journaled.
-					st.Autoscalers = append(st.Autoscalers, jAutoscalerState{Service: js.Name})
-				}
-			}
-		case "service-rejected":
-			var n jName
-			if json.Unmarshal(rec.Data, &n) == nil {
-				st.Rejected++
-				st.removeService(n.Service)
-			}
-		case "service-removed", "service-torndown":
-			var n jName
-			if json.Unmarshal(rec.Data, &n) == nil {
-				st.removeService(n.Service)
-			}
-		case "service-active":
-			var n jName
-			if json.Unmarshal(rec.Data, &n) == nil {
-				if s := st.service(n.Service); s != nil {
-					s.State = int(Active)
-				}
-			}
-		case "node-primed":
-			var np jNodePrimed
-			if json.Unmarshal(rec.Data, &np) != nil {
-				continue
-			}
-			s := st.service(np.Service)
-			if s == nil {
-				continue
-			}
-			node := np.jNode
-			node.Service = ""
-			replaced := false
-			for i := range s.Nodes {
-				if s.Nodes[i].Name == node.Name {
-					s.Nodes[i] = node
-					replaced = true
-					break
-				}
-			}
-			if !replaced {
-				s.Nodes = append(s.Nodes, node)
-			}
-			if np.NextID > s.NextNodeID {
-				s.NextNodeID = np.NextID
-			}
-		case "node-failed", "node-removed":
-			var nr jNodeRef
-			if json.Unmarshal(rec.Data, &nr) != nil {
-				continue
-			}
-			if s := st.service(nr.Service); s != nil {
-				for i := range s.Nodes {
-					if s.Nodes[i].Name == nr.Name {
-						s.Nodes = append(s.Nodes[:i], s.Nodes[i+1:]...)
-						break
-					}
-				}
-				if s.Home == nr.Name {
-					s.Home = ""
-				}
-			}
-		case "node-resized":
-			var nr jNodeRef
-			if json.Unmarshal(rec.Data, &nr) != nil {
-				continue
-			}
-			if s := st.service(nr.Service); s != nil {
-				for i := range s.Nodes {
-					if s.Nodes[i].Name == nr.Name {
-						s.Nodes[i].Capacity = nr.Capacity
-						break
-					}
-				}
-			}
-		case "switch-homed":
-			var nr jNodeRef
-			if json.Unmarshal(rec.Data, &nr) != nil {
-				continue
-			}
-			if s := st.service(nr.Service); s != nil {
-				s.Home = nr.Name
-			}
-		case "usage-settled":
-			var js jSettled
-			if json.Unmarshal(rec.Data, &js) != nil {
-				continue
-			}
-			found := false
-			for i := range st.Settled {
-				if st.Settled[i].Service == js.Service {
-					st.Settled[i] = js
-					found = true
-					break
-				}
-			}
-			if !found {
-				st.Settled = append(st.Settled, js)
-			}
-		case "usage-claimed":
-			var n jName
-			if json.Unmarshal(rec.Data, &n) != nil {
-				continue
-			}
-			for i := range st.Settled {
-				if st.Settled[i].Service == n.Service {
-					st.Settled = append(st.Settled[:i], st.Settled[i+1:]...)
-					break
-				}
-			}
-		case "chunk-announce":
-			var jc jChunk
-			if json.Unmarshal(rec.Data, &jc) == nil {
-				st.announceHolder(jc)
-			}
-		case "chunk-full":
-			var jc jChunk
-			if json.Unmarshal(rec.Data, &jc) == nil {
-				if h := st.holder(jc.Image, jc.Daemon); h != nil {
-					h.Full = true
-				}
-			}
-		case "chunk-forget":
-			var cr jChunkRef
-			if json.Unmarshal(rec.Data, &cr) == nil {
-				kept := st.Holders[:0]
-				for _, h := range st.Holders {
-					if h.Daemon != cr.Daemon {
-						kept = append(kept, h)
-					}
-				}
-				st.Holders = kept
-			}
-		case "chunk-reset":
-			st.Holders = nil
-		case "epoch":
-			var je jEpoch
-			if json.Unmarshal(rec.Data, &je) == nil {
-				st.Epoch = je.Epoch
-			}
-		case "autoscale-decision":
-			var ja jAutoscale
-			if json.Unmarshal(rec.Data, &ja) == nil {
-				if a := st.autoscaler(ja.Service); a != nil {
-					a.Pending = true
-					a.PendingTarget = ja.To
-					a.PendingDir = ja.Dir
-				}
-			}
-		case "autoscale-blocked":
-			var ja jAutoscale
-			if json.Unmarshal(rec.Data, &ja) == nil {
-				if a := st.autoscaler(ja.Service); a != nil {
-					a.Blocked++
-				}
-			}
-		case "autoscale-done":
-			var ja jAutoscale
-			if json.Unmarshal(rec.Data, &ja) == nil {
-				if a := st.autoscaler(ja.Service); a != nil {
-					a.Pending = false
-					a.PendingTarget = 0
-					a.PendingDir = ""
-					if ja.Dir == "up" {
-						a.LastUpNs = ja.AtNs
-					} else {
-						a.LastDownNs = ja.AtNs
-					}
-					switch {
-					case !ja.OK:
-						a.Blocked++
-					case ja.Dir == "up":
-						a.Ups++
-					default:
-						a.Downs++
-					}
-				}
-			}
+			continue
+		}
+		dec, ok := payloads[rec.Type]
+		if !ok {
+			continue
+		}
+		if v, err := dec(rec.Data); err == nil {
+			st.apply(rec.Type, v)
 		}
 	}
-	st.canonicalize()
 	return st
 }
 
-// holder finds the occupancy entry for one (image, daemon) pair.
-func (s *masterState) holder(image string, daemon int) *jHolder {
-	for i := range s.Holders {
-		if s.Holders[i].Image == image && s.Holders[i].Daemon == daemon {
-			return &s.Holders[i]
-		}
+// StateDigest returns a SHA-256 over the Master's logical state. Two
+// Masters with the same digest host the same services with the same node
+// bindings, counters, settled bills, and tracker occupancy — the
+// verification currency of the HA subsystem.
+func (m *Master) StateDigest() string { return digest(m.state) }
+
+// TrackerDigest returns a SHA-256 over the chunk tracker's holder
+// occupancy alone. The failover regression compares it before the crash
+// and after the new leader rebuilt the map purely from daemon announces.
+func (m *Master) TrackerDigest() string {
+	if len(m.state.Holders) == 0 {
+		return digest(nil) // however the holders were emptied
 	}
-	return nil
+	return digest(m.state.Holders)
 }
 
-// announceHolder applies one chunk-announce: the holder's count grows by
-// one (the live tracker journals only first-time inserts) and the
-// image's chunk total ratchets up across all its holders.
-func (s *masterState) announceHolder(jc jChunk) {
-	h := s.holder(jc.Image, jc.Daemon)
-	if h == nil {
-		s.Holders = append(s.Holders, jHolder{Image: jc.Image, Daemon: jc.Daemon, Total: jc.Total})
-		h = &s.Holders[len(s.Holders)-1]
-	}
-	h.Chunks++
-	for i := range s.Holders {
-		if s.Holders[i].Image == jc.Image && s.Holders[i].Total < jc.Total {
-			s.Holders[i].Total = jc.Total
-		}
-	}
-}
-
-// autoscaler finds one service's autoscaler state, or nil.
-func (s *masterState) autoscaler(name string) *jAutoscalerState {
-	for i := range s.Autoscalers {
-		if s.Autoscalers[i].Service == name {
-			return &s.Autoscalers[i]
-		}
-	}
-	return nil
-}
-
-// removeService drops one service — and its autoscaler — from the state.
-func (s *masterState) removeService(name string) {
-	for i := range s.Services {
-		if s.Services[i].Name == name {
-			s.Services = append(s.Services[:i], s.Services[i+1:]...)
-			break
-		}
-	}
-	for i := range s.Autoscalers {
-		if s.Autoscalers[i].Service == name {
-			s.Autoscalers = append(s.Autoscalers[:i], s.Autoscalers[i+1:]...)
-			return
-		}
-	}
-}
-
-// canonicalize sorts every slice so the digest is deterministic,
-// matching captureState's ordering.
-func (s *masterState) canonicalize() {
-	sort.Slice(s.Services, func(i, j int) bool { return s.Services[i].Name < s.Services[j].Name })
-	for i := range s.Services {
-		nodes := s.Services[i].Nodes
-		sort.Slice(nodes, func(a, b int) bool { return nodes[a].Name < nodes[b].Name })
-	}
-	sort.Slice(s.Settled, func(i, j int) bool { return s.Settled[i].Service < s.Settled[j].Service })
-	sort.Slice(s.Holders, func(i, j int) bool {
-		if s.Holders[i].Image != s.Holders[j].Image {
-			return s.Holders[i].Image < s.Holders[j].Image
-		}
-		return s.Holders[i].Daemon < s.Holders[j].Daemon
-	})
-	sort.Slice(s.Autoscalers, func(i, j int) bool { return s.Autoscalers[i].Service < s.Autoscalers[j].Service })
+// ReplayDigest replays a journal image and returns the digest of the
+// reconstructed state plus the replay report. Comparing it against the
+// pre-crash StateDigest proves the journal captured everything.
+func ReplayDigest(data []byte) (string, journal.ReplayReport) {
+	recs, rep := journal.Replay(data)
+	return digest(replayState(recs)), rep
 }

@@ -66,17 +66,10 @@ type assignment struct {
 	expires sim.Time
 }
 
-// imageHolders is the tracker's per-image occupancy index, feeding the
-// /images endpoint.
-type imageHolders struct {
-	chunkTotal int
-	perDaemon  map[int]int
-	full       map[int]bool
-}
-
-// chunkTracker is the Master's tracker state for cooperative image
+// chunkTracker is the Master's planning state for cooperative image
 // distribution: which daemon holds which chunk, which assignments are in
-// flight, and how loaded each source is.
+// flight, and how loaded each source is. The per-image holder occupancy
+// is committed state (masterState.Holders).
 type chunkTracker struct {
 	cfg ChunkDistConfig
 
@@ -94,8 +87,6 @@ type chunkTracker struct {
 	originInFlight map[uint64]int
 	// rr spreads peer picks across a chunk's holder set.
 	rr map[uint64]int
-	// images indexes holder occupancy per image name.
-	images map[string]*imageHolders
 }
 
 func newChunkTracker(cfg ChunkDistConfig) *chunkTracker {
@@ -106,7 +97,6 @@ func newChunkTracker(cfg ChunkDistConfig) *chunkTracker {
 		outstanding:    make(map[int]int),
 		originInFlight: make(map[uint64]int),
 		rr:             make(map[uint64]int),
-		images:         make(map[string]*imageHolders),
 	}
 }
 
@@ -170,7 +160,7 @@ func (m *Master) daemonAlive(i int) bool {
 // defer (never fall back to origin while a peer can serve); with no
 // holder, assign the origin exactly once per chunk and defer everyone
 // else until the first fetcher announces.
-func (m *Master) planChunks(requester int, imageName string, total int, ids []uint64) []chunkPlanEntry {
+func (m *Master) planChunks(requester int, ids []uint64) []chunkPlanEntry {
 	t := m.chunkDist
 	if m.halted {
 		// A down Master plans nothing; the requester retries after its
@@ -183,7 +173,6 @@ func (m *Master) planChunks(requester int, imageName string, total int, ids []ui
 	}
 	now := m.net.Kernel().Now()
 	t.expire(now)
-	t.imageIndex(imageName, total)
 
 	plan := make([]chunkPlanEntry, 0, len(ids))
 	for _, id := range ids {
@@ -231,24 +220,23 @@ func (m *Master) announceChunk(holder int, imageName string, total int, id uint6
 	m.trackerAnnounce(holder, imageName, total, id, full)
 }
 
-// trackerAnnounce indexes one held chunk and journals the mutation when
-// it changes tracker state (duplicate announces are no-ops on both the
-// index and the journal, keeping replay deterministic).
+// trackerAnnounce indexes one held chunk and commits chunk-announce
+// when the holder is new to it (duplicate announces are no-ops on both
+// the index and the journal, keeping replay deterministic).
 func (m *Master) trackerAnnounce(holder int, imageName string, total int, id uint64, full bool) {
-	t := m.chunkDist
-	if t.addHolder(imageName, id, holder, total) {
-		m.journal("chunk-announce", jChunk{Image: imageName, Chunk: id, Daemon: holder, Total: total})
+	if m.chunkDist.addHolder(id, holder) {
+		m.commit("chunk-announce", jChunk{Image: imageName, Chunk: id, Daemon: holder, Total: total})
 	}
 	if full {
 		m.trackerFull(holder, imageName, total)
 	}
 }
 
-// trackerFull marks an image fully assembled on a host, journaling the
+// trackerFull marks an image fully assembled on a host, committing the
 // transition once.
 func (m *Master) trackerFull(holder int, imageName string, total int) {
-	if m.chunkDist.markFull(imageName, holder, total) {
-		m.journal("chunk-full", jChunk{Image: imageName, Daemon: holder, Total: total})
+	if h := m.state.holder(imageName, holder); h == nil || !h.Full {
+		m.commit("chunk-full", jChunk{Image: imageName, Daemon: holder, Total: total})
 	}
 }
 
@@ -267,11 +255,7 @@ func (m *Master) forgetHolder(holder int) {
 			delete(t.holders, id)
 		}
 	}
-	for _, ih := range t.images {
-		delete(ih.perDaemon, holder)
-		delete(ih.full, holder)
-	}
-	m.journal("chunk-forget", jChunkRef{Daemon: holder})
+	m.commit("chunk-forget", jChunkRef{Daemon: holder})
 }
 
 // liveHolders returns the chunk's holders that are alive and not the
@@ -316,21 +300,9 @@ func (t *chunkTracker) clearAssignment(k assignKey) {
 	}
 }
 
-func (t *chunkTracker) imageIndex(name string, total int) *imageHolders {
-	ih, ok := t.images[name]
-	if !ok {
-		ih = &imageHolders{perDaemon: make(map[int]int), full: make(map[int]bool)}
-		t.images[name] = ih
-	}
-	if total > ih.chunkTotal {
-		ih.chunkTotal = total
-	}
-	return ih
-}
-
 // addHolder indexes holder for chunk id, reporting whether this was a
 // new entry (duplicates keep per-image counts consistent by no-op'ing).
-func (t *chunkTracker) addHolder(imageName string, id uint64, holder, total int) bool {
+func (t *chunkTracker) addHolder(id uint64, holder int) bool {
 	hs := t.holders[id]
 	pos := sort.SearchInts(hs, holder)
 	if pos < len(hs) && hs[pos] == holder {
@@ -340,17 +312,6 @@ func (t *chunkTracker) addHolder(imageName string, id uint64, holder, total int)
 	copy(hs[pos+1:], hs[pos:])
 	hs[pos] = holder
 	t.holders[id] = hs
-	t.imageIndex(imageName, total).perDaemon[holder]++
-	return true
-}
-
-// markFull reports whether the holder newly transitioned to full.
-func (t *chunkTracker) markFull(imageName string, holder, total int) bool {
-	ih := t.imageIndex(imageName, total)
-	if ih.full[holder] {
-		return false
-	}
-	ih.full[holder] = true
 	return true
 }
 
@@ -363,26 +324,23 @@ type ImageHolderView struct {
 	PerHost map[string]int `json:"per_host"`
 }
 
-// ImageHolders returns the tracker's holder map, sorted by image name.
-// Nil when chunk distribution is disabled.
+// ImageHolders returns the tracker's holder map — every image some
+// daemon holds chunks of — sorted by image name. Nil when chunk
+// distribution is disabled.
 func (m *Master) ImageHolders() []ImageHolderView {
 	if m.chunkDist == nil {
 		return nil
 	}
-	t := m.chunkDist
-	names := make([]string, 0, len(t.images))
-	for n := range t.images {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]ImageHolderView, 0, len(names))
-	for _, n := range names {
-		ih := t.images[n]
-		v := ImageHolderView{Image: n, ChunkTotal: ih.chunkTotal, FullHolders: len(ih.full), PerHost: make(map[string]int, len(ih.perDaemon))}
-		for di, cnt := range ih.perDaemon {
-			v.PerHost[m.daemons[di].Host().Spec.Name] = cnt
+	out := []ImageHolderView{}
+	for _, h := range m.state.Holders {
+		if len(out) == 0 || out[len(out)-1].Image != h.Image {
+			out = append(out, ImageHolderView{Image: h.Image, ChunkTotal: h.Total, PerHost: make(map[string]int)})
 		}
-		out = append(out, v)
+		v := &out[len(out)-1]
+		v.PerHost[m.daemons[h.Daemon].Host().Spec.Name] = h.Chunks
+		if h.Full {
+			v.FullHolders++
+		}
 	}
 	return out
 }

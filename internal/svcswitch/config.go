@@ -282,11 +282,3 @@ func parseHeader(line string) (string, bool) {
 	}
 	return "", false
 }
-
-// Sorted returns the entries ordered by address, for deterministic
-// rendering in reports.
-func (c *ConfigFile) Sorted() []BackendEntry {
-	out := c.Entries()
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr() < out[j].Addr() })
-	return out
-}
