@@ -119,9 +119,6 @@ func (e *Evaluator) SLO() svcswitch.SLO { return e.slo }
 // Violations returns how many violations have fired.
 func (e *Evaluator) Violations() int { return e.violations }
 
-// LastViolation returns the most recent violation, nil if none.
-func (e *Evaluator) LastViolation() *Violation { return e.last }
-
 // Violating reports whether the evaluator is currently latched in
 // violation.
 func (e *Evaluator) Violating() bool { return e.latched }

@@ -43,8 +43,8 @@ type Chunk struct {
 // Manifest is the per-image chunk table: what the repository serves first
 // so a daemon can plan a multi-source download. Content bytes are
 // synthetic in this model, so the manifest carries a reference to the
-// sealed master image; Materialize clones it once every chunk has been
-// fetched and verified.
+// sealed master image; Materialize hands it out once every chunk has
+// been fetched and verified.
 type Manifest struct {
 	// ImageName names the image this manifest describes.
 	ImageName string
@@ -86,7 +86,7 @@ func fnvInt(h uint64, v int64) uint64 {
 // chunkID addresses one piece of one file. The image name is excluded on
 // purpose: identity is the content's, not the package's, which is what
 // makes version-to-version delta priming fall out for free.
-func chunkID(f *File, piece int, pieceBytes int64) uint64 {
+func chunkID(f File, piece int, pieceBytes int64) uint64 {
 	h := uint64(fnvOffset64)
 	h = fnvString(h, f.Path)
 	h = fnvInt(h, int64(piece))
@@ -159,16 +159,11 @@ func (m *Manifest) TotalBytes() int64 {
 	return total
 }
 
-// Materialize assembles the image the manifest describes: a private
-// clone of the sealed master, handed out only after the caller has
-// fetched and verified every chunk. Nil if the manifest was built
-// detached from its image.
-func (m *Manifest) Materialize() *Image {
-	if m.master == nil {
-		return nil
-	}
-	return m.master.Clone()
-}
+// Materialize assembles the image the manifest describes: the sealed
+// master itself, shared and never modified, handed out only after the
+// caller has fetched and verified every chunk. Nil if the manifest was
+// built detached from its image.
+func (m *Manifest) Materialize() *Image { return m.master }
 
 // ManifestWireBytes is the on-the-wire size of fetching a manifest.
 func ManifestWireBytes(m *Manifest) int64 {

@@ -14,23 +14,26 @@ func TestChecksumSealVerifyCorrupt(t *testing.T) {
 	if !im.Verify() {
 		t.Fatal("sealed image fails verification")
 	}
-	im.Corrupt()
-	if im.Verify() {
+	bad := im.Corrupted()
+	if bad.Verify() {
 		t.Fatal("corrupted image passes verification")
 	}
-	im.Seal()
-	if !im.Verify() {
+	if !im.Verify() || bad.RootFS != im.RootFS {
+		t.Fatal("Corrupted changed the original or copied its tree")
+	}
+	bad.Seal()
+	if !bad.Verify() {
 		t.Fatal("resealed image fails verification")
 	}
 }
 
 func TestChecksumSensitiveToContent(t *testing.T) {
 	a := NewBuilder("x").WithService("/srv/app", 1<<20, 80).MustBuild()
-	b := a.Clone()
+	b := NewBuilder("x").WithService("/srv/app", 1<<20, 80).MustBuild()
 	if a.ComputeChecksum() != b.ComputeChecksum() {
 		t.Fatal("identical images disagree on checksum")
 	}
-	b.RootFS.Add("/etc/extra", 1, false)
+	mustAdd(t, b.RootFS, "/etc/extra", 1, false)
 	if a.ComputeChecksum() == b.ComputeChecksum() {
 		t.Fatal("checksum blind to added file")
 	}

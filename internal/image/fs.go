@@ -22,19 +22,21 @@ type File struct {
 }
 
 // Tree is an in-memory root file system: the unit the SODA Daemon
-// downloads, tailors, and hands to the UML as its root. Paths are unique;
-// directories are implicit.
+// downloads and hands to the UML as its root. Paths are unique;
+// directories are implicit. A tree is written only while its image is
+// built; afterwards every delivery, daemon store and boot shares it, and
+// its readers get File values, so nothing outside this package can change
+// it.
 type Tree struct {
-	files map[string]*File
+	files map[string]File
 }
 
-// NewTree returns an empty file system.
-func NewTree() *Tree {
-	return &Tree{files: make(map[string]*File)}
+func newTree() *Tree {
+	return &Tree{files: make(map[string]File)}
 }
 
-// Add inserts a file, normalising the path. Duplicate paths are replaced.
-func (t *Tree) Add(p string, size int64, executable bool) error {
+// add inserts a file, normalising the path. Duplicate paths are replaced.
+func (t *Tree) add(p string, size int64, executable bool) error {
 	cp, err := cleanPath(p)
 	if err != nil {
 		return err
@@ -42,15 +44,8 @@ func (t *Tree) Add(p string, size int64, executable bool) error {
 	if size < 0 {
 		return fmt.Errorf("image: negative size for %s", cp)
 	}
-	t.files[cp] = &File{Path: cp, SizeBytes: size, Executable: executable}
+	t.files[cp] = File{Path: cp, SizeBytes: size, Executable: executable}
 	return nil
-}
-
-// MustAdd is Add, panicking on error; for building fixed images.
-func (t *Tree) MustAdd(p string, size int64, executable bool) {
-	if err := t.Add(p, size, executable); err != nil {
-		panic(err)
-	}
 }
 
 func cleanPath(p string) (string, error) {
@@ -64,50 +59,21 @@ func cleanPath(p string) (string, error) {
 	return cp, nil
 }
 
-// Remove deletes a file, reporting whether it existed.
-func (t *Tree) Remove(p string) bool {
+// Lookup returns the file at p and whether it exists.
+func (t *Tree) Lookup(p string) (File, bool) {
 	cp, err := cleanPath(p)
 	if err != nil {
-		return false
+		return File{}, false
 	}
-	if _, ok := t.files[cp]; !ok {
-		return false
-	}
-	delete(t.files, cp)
-	return true
-}
-
-// RemovePrefix deletes every file under the directory prefix, returning
-// the number removed and the bytes reclaimed.
-func (t *Tree) RemovePrefix(dir string) (int, int64) {
-	cp, err := cleanPath(dir)
-	if err != nil {
-		return 0, 0
-	}
-	prefix := cp + "/"
-	var n int
-	var bytes int64
-	for p, f := range t.files {
-		if p == cp || strings.HasPrefix(p, prefix) {
-			n++
-			bytes += f.SizeBytes
-			delete(t.files, p)
-		}
-	}
-	return n, bytes
-}
-
-// Lookup returns the file at p, or nil.
-func (t *Tree) Lookup(p string) *File {
-	cp, err := cleanPath(p)
-	if err != nil {
-		return nil
-	}
-	return t.files[cp]
+	f, ok := t.files[cp]
+	return f, ok
 }
 
 // Contains reports whether the tree holds a file at p.
-func (t *Tree) Contains(p string) bool { return t.Lookup(p) != nil }
+func (t *Tree) Contains(p string) bool {
+	_, ok := t.Lookup(p)
+	return ok
+}
 
 // Len returns the number of files.
 func (t *Tree) Len() int { return len(t.files) }
@@ -122,14 +88,17 @@ func (t *Tree) SizeBytes() int64 {
 }
 
 // SizeMB returns the total size in whole MiB, rounding up.
-func (t *Tree) SizeMB() int {
+func (t *Tree) SizeMB() int { return BytesToMB(t.SizeBytes()) }
+
+// BytesToMB converts a byte count to whole MiB, rounding up.
+func BytesToMB(n int64) int {
 	const mb = 1 << 20
-	return int((t.SizeBytes() + mb - 1) / mb)
+	return int((n + mb - 1) / mb)
 }
 
 // List returns every file sorted by path.
-func (t *Tree) List() []*File {
-	out := make([]*File, 0, len(t.files))
+func (t *Tree) List() []File {
+	out := make([]File, 0, len(t.files))
 	for _, f := range t.files {
 		out = append(out, f)
 	}
@@ -138,13 +107,13 @@ func (t *Tree) List() []*File {
 }
 
 // ListDir returns the files directly or transitively under dir, sorted.
-func (t *Tree) ListDir(dir string) []*File {
+func (t *Tree) ListDir(dir string) []File {
 	cp, err := cleanPath(dir)
 	if err != nil {
 		return nil
 	}
 	prefix := cp + "/"
-	var out []*File
+	var out []File
 	for p, f := range t.files {
 		if strings.HasPrefix(p, prefix) {
 			out = append(out, f)
@@ -152,15 +121,4 @@ func (t *Tree) ListDir(dir string) []*File {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out
-}
-
-// Clone returns a deep copy — tailoring operates on a copy so the
-// downloaded master image can prime multiple virtual service nodes.
-func (t *Tree) Clone() *Tree {
-	c := NewTree()
-	for p, f := range t.files {
-		cp := *f
-		c.files[p] = &cp
-	}
-	return c
 }

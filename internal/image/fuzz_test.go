@@ -19,29 +19,34 @@ func FuzzImageCorruption(f *testing.F) {
 	f.Add("/deep/ly/nested/path", "/./dot", "/..", uint32(1), uint32(2), uint32(3), uint16(1024), byte(3), uint32(7))
 
 	f.Fuzz(func(t *testing.T, p1, p2, p3 string, s1, s2, s3 uint32, chunkKB uint16, mutSel byte, mutArg uint32) {
-		tree := NewTree()
-		// The service command anchors the image so Validate always has a
-		// root to hold on to; the fuzzed paths layer on top (duplicates
-		// and normalisation collisions are the point).
-		tree.MustAdd("/usr/sbin/svc", 4096, true)
-		for i, p := range []string{p1, p2, p3} {
-			size := []uint32{s1, s2, s3}[i]
-			// Non-absolute or root-naming paths must be rejected, never
-			// inserted mangled.
-			if err := tree.Add(p, int64(size), i%2 == 0); err != nil {
-				if tree.Contains(p) {
-					t.Fatalf("Add(%q) errored %v yet the path is present", p, err)
+		// build makes the fuzzed image; a mutated variant is built the
+		// same way, then changed before anything reads it.
+		build := func() *Image {
+			tree := newTree()
+			// The service command anchors the image so Validate always
+			// has a root to hold on to; the fuzzed paths layer on top
+			// (duplicates and normalisation collisions are the point).
+			mustAdd(t, tree, "/usr/sbin/svc", 4096, true)
+			for i, p := range []string{p1, p2, p3} {
+				size := []uint32{s1, s2, s3}[i]
+				// Non-absolute or root-naming paths must be rejected,
+				// never inserted mangled.
+				if err := tree.add(p, int64(size), i%2 == 0); err != nil {
+					if tree.Contains(p) {
+						t.Fatalf("add(%q) errored %v yet the path is present", p, err)
+					}
+					continue
 				}
-				continue
+			}
+			return &Image{
+				Name:            "fuzz-image",
+				RootFS:          tree,
+				ServiceCommand:  "/usr/sbin/svc",
+				Port:            8080,
+				WorkerProcesses: 1,
 			}
 		}
-		im := &Image{
-			Name:            "fuzz-image",
-			RootFS:          tree,
-			ServiceCommand:  "/usr/sbin/svc",
-			Port:            8080,
-			WorkerProcesses: 1,
-		}
+		im := build()
 		if err := im.Validate(); err != nil {
 			t.Fatalf("anchored image failed validation: %v", err)
 		}
@@ -85,32 +90,33 @@ func FuzzImageCorruption(f *testing.F) {
 		}
 
 		// The bit-flip model must always be caught.
-		flipped := im.Clone()
-		flipped.Corrupt()
-		if flipped.Verify() {
-			t.Fatal("Corrupt()ed image still verifies")
+		if flipped := im.Corrupted(); flipped.Verify() {
+			t.Fatal("Corrupted() image still verifies")
 		}
 
-		// Any single structural mutation of a clone — resize, mode flip,
-		// deletion, insertion — must break the inherited checksum: the
-		// checksum covers every file's path, size, and mode.
-		mutated := im.Clone()
-		files := mutated.RootFS.List()
+		// Any single structural mutation of a rebuilt image — resize,
+		// mode flip, deletion, insertion — must break the original's
+		// checksum: the checksum covers every file's path, size, and mode.
+		mutated := build()
+		mutated.Checksum = im.Checksum
+		tree := mutated.RootFS
+		files := tree.List()
 		victim := files[int(mutArg)%len(files)]
 		switch mutSel % 4 {
 		case 0:
-			mutated.RootFS.MustAdd(victim.Path, victim.SizeBytes+1+int64(mutArg), victim.Executable)
+			mustAdd(t, tree, victim.Path, victim.SizeBytes+1+int64(mutArg), victim.Executable)
 		case 1:
-			mutated.RootFS.MustAdd(victim.Path, victim.SizeBytes, !victim.Executable)
+			mustAdd(t, tree, victim.Path, victim.SizeBytes, !victim.Executable)
 		case 2:
-			if !mutated.RootFS.Remove(victim.Path) {
-				t.Fatalf("listed file %q not removable", victim.Path)
+			if !tree.Contains(victim.Path) {
+				t.Fatalf("listed file %q not present", victim.Path)
 			}
+			delete(tree.files, victim.Path)
 		case 3:
-			if mutated.RootFS.Contains("/fuzz/planted") {
+			if tree.Contains("/fuzz/planted") {
 				return // fuzzed input already claimed the slot; nothing to assert
 			}
-			mutated.RootFS.MustAdd("/fuzz/planted", int64(mutArg), false)
+			mustAdd(t, tree, "/fuzz/planted", int64(mutArg), false)
 		}
 		if mutated.Verify() {
 			t.Fatalf("mutation %d of %q passed verification against the original checksum", mutSel%4, victim.Path)

@@ -88,16 +88,19 @@ func (im *Image) Verify() bool {
 	return im.Checksum == 0 || im.Checksum == im.ComputeChecksum()
 }
 
-// Corrupt flips the checksum so Verify fails — the chaos injector's
-// model of a bit-flipped download.
-func (im *Image) Corrupt() {
-	if im.Checksum == 0 {
-		im.Seal()
+// Corrupted returns a delivery of the image whose checksum is flipped
+// so Verify fails — the chaos injector's model of a bit-flipped
+// download. It shares the image's tree; the image itself is untouched.
+func (im *Image) Corrupted() *Image {
+	c := *im
+	if c.Checksum == 0 {
+		c.Seal()
 	}
-	im.Checksum = ^im.Checksum
-	if im.Checksum == 0 {
-		im.Checksum = ^uint64(1)
+	c.Checksum = ^c.Checksum
+	if c.Checksum == 0 {
+		c.Checksum = ^uint64(1)
 	}
+	return &c
 }
 
 // Validate reports the first problem with the image, or nil.
@@ -125,14 +128,6 @@ func (im *Image) SizeMB() int { return im.RootFS.SizeMB() }
 // SizeBytes returns the image's packaged size in bytes.
 func (im *Image) SizeBytes() int64 { return im.RootFS.SizeBytes() }
 
-// Clone returns a deep copy of the image, for per-node tailoring.
-func (im *Image) Clone() *Image {
-	c := *im
-	c.RootFS = im.RootFS.Clone()
-	c.SystemServices = append([]string(nil), im.SystemServices...)
-	return &c
-}
-
 // Builder assembles images with synthetic content so tests and the
 // benchmark harness can produce file systems of any target size without
 // shipping real binaries.
@@ -143,13 +138,13 @@ type Builder struct {
 
 // NewBuilder starts an image named name.
 func NewBuilder(name string) *Builder {
-	return &Builder{img: &Image{Name: name, RootFS: NewTree(), Port: 8080, WorkerProcesses: 1}}
+	return &Builder{img: &Image{Name: name, RootFS: newTree(), Port: 8080, WorkerProcesses: 1}}
 }
 
 // WithService sets the service start command (added to the tree as an
 // executable) and listen port.
 func (b *Builder) WithService(command string, sizeBytes int64, port int) *Builder {
-	if err := b.img.RootFS.Add(command, sizeBytes, true); err != nil {
+	if err := b.img.RootFS.add(command, sizeBytes, true); err != nil {
 		b.errs = append(b.errs, err)
 		return b
 	}
@@ -169,7 +164,7 @@ func (b *Builder) WithWorkers(n int) *Builder {
 func (b *Builder) WithSystemServices(names ...string) *Builder {
 	b.img.SystemServices = append(b.img.SystemServices, names...)
 	for _, n := range names {
-		if err := b.img.RootFS.Add("/etc/init.d/"+n, 4096, true); err != nil {
+		if err := b.img.RootFS.add("/etc/init.d/"+n, 4096, true); err != nil {
 			b.errs = append(b.errs, err)
 		}
 	}
@@ -178,7 +173,7 @@ func (b *Builder) WithSystemServices(names ...string) *Builder {
 
 // WithFile adds an arbitrary file.
 func (b *Builder) WithFile(path string, sizeBytes int64) *Builder {
-	if err := b.img.RootFS.Add(path, sizeBytes, false); err != nil {
+	if err := b.img.RootFS.add(path, sizeBytes, false); err != nil {
 		b.errs = append(b.errs, err)
 	}
 	return b

@@ -9,57 +9,54 @@ import (
 	"repro/internal/simnet"
 )
 
-func TestTreeAddLookupRemove(t *testing.T) {
-	tr := NewTree()
-	if err := tr.Add("/usr/sbin/httpd", 1024, true); err != nil {
+// mustAdd is add, failing the test on error.
+func mustAdd(t *testing.T, tr *Tree, p string, size int64, executable bool) {
+	t.Helper()
+	if err := tr.add(p, size, executable); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Add("relative/path", 1, false); err == nil {
+}
+
+func TestTreeAddLookupRemove(t *testing.T) {
+	tr := newTree()
+	mustAdd(t, tr, "/usr/sbin/httpd", 1024, true)
+	if err := tr.add("relative/path", 1, false); err == nil {
 		t.Fatal("relative path accepted")
 	}
-	if err := tr.Add("/", 1, false); err == nil {
+	if err := tr.add("/", 1, false); err == nil {
 		t.Fatal("root path accepted")
 	}
-	if err := tr.Add("/x", -1, false); err == nil {
+	if err := tr.add("/x", -1, false); err == nil {
 		t.Fatal("negative size accepted")
 	}
-	f := tr.Lookup("/usr/sbin/../sbin/httpd") // path cleaning
-	if f == nil || f.SizeBytes != 1024 || !f.Executable {
-		t.Fatalf("lookup = %+v", f)
+	f, ok := tr.Lookup("/usr/sbin/../sbin/httpd") // path cleaning
+	if !ok || f.SizeBytes != 1024 || !f.Executable {
+		t.Fatalf("lookup = %+v %v", f, ok)
 	}
-	if !tr.Remove("/usr/sbin/httpd") || tr.Remove("/usr/sbin/httpd") {
-		t.Fatal("remove semantics wrong")
+	// Lookup hands out a value: changing it leaves the tree alone.
+	f.SizeBytes = 1
+	if g, _ := tr.Lookup("/usr/sbin/httpd"); g.SizeBytes != 1024 {
+		t.Fatal("Lookup exposed the tree's own file")
+	}
+	if _, ok := tr.Lookup("/usr/sbin/sshd"); ok || tr.Contains("/usr/sbin/sshd") {
+		t.Fatal("absent file found")
 	}
 }
 
 func TestTreeDuplicateAddReplaces(t *testing.T) {
-	tr := NewTree()
-	tr.MustAdd("/a", 10, false)
-	tr.MustAdd("/a", 20, false)
+	tr := newTree()
+	mustAdd(t, tr, "/a", 10, false)
+	mustAdd(t, tr, "/a", 20, false)
 	if tr.Len() != 1 || tr.SizeBytes() != 20 {
 		t.Fatalf("len=%d size=%d", tr.Len(), tr.SizeBytes())
 	}
 }
 
-func TestTreeRemovePrefix(t *testing.T) {
-	tr := NewTree()
-	tr.MustAdd("/etc/init.d/httpd", 100, true)
-	tr.MustAdd("/etc/init.d/sshd", 200, true)
-	tr.MustAdd("/etc/passwd", 50, false)
-	n, bytes := tr.RemovePrefix("/etc/init.d")
-	if n != 2 || bytes != 300 {
-		t.Fatalf("removed %d files, %d bytes", n, bytes)
-	}
-	if !tr.Contains("/etc/passwd") {
-		t.Fatal("sibling removed")
-	}
-}
-
 func TestTreeSizeAndListOrdering(t *testing.T) {
-	tr := NewTree()
-	tr.MustAdd("/b", 2, false)
-	tr.MustAdd("/a", 1, false)
-	tr.MustAdd("/c", 3, false)
+	tr := newTree()
+	mustAdd(t, tr, "/b", 2, false)
+	mustAdd(t, tr, "/a", 1, false)
+	mustAdd(t, tr, "/c", 3, false)
 	if tr.SizeBytes() != 6 {
 		t.Fatalf("size = %d", tr.SizeBytes())
 	}
@@ -73,24 +70,13 @@ func TestTreeSizeAndListOrdering(t *testing.T) {
 }
 
 func TestTreeListDir(t *testing.T) {
-	tr := NewTree()
-	tr.MustAdd("/var/www/a", 1, false)
-	tr.MustAdd("/var/www/b", 1, false)
-	tr.MustAdd("/var/log/x", 1, false)
+	tr := newTree()
+	mustAdd(t, tr, "/var/www/a", 1, false)
+	mustAdd(t, tr, "/var/www/b", 1, false)
+	mustAdd(t, tr, "/var/log/x", 1, false)
 	got := tr.ListDir("/var/www")
 	if len(got) != 2 || got[0].Path != "/var/www/a" {
 		t.Fatalf("listdir = %v", got)
-	}
-}
-
-func TestTreeCloneIsDeep(t *testing.T) {
-	tr := NewTree()
-	tr.MustAdd("/a", 1, false)
-	c := tr.Clone()
-	c.MustAdd("/b", 2, false)
-	c.Lookup("/a").SizeBytes = 99
-	if tr.Len() != 1 || tr.Lookup("/a").SizeBytes != 1 {
-		t.Fatal("clone aliases original")
 	}
 }
 
@@ -129,20 +115,11 @@ func TestImageValidation(t *testing.T) {
 	if _, err := NewBuilder("x").WithService("/srv/app", 1, 80).WithWorkers(0).Build(); err == nil {
 		t.Fatal("zero workers accepted")
 	}
-	im := NewBuilder("x").WithService("/srv/app", 1, 80).MustBuild()
-	im.RootFS.Remove("/srv/app")
+	tree := newTree()
+	mustAdd(t, tree, "/srv/other", 1, true)
+	im := &Image{Name: "x", RootFS: tree, ServiceCommand: "/srv/app", Port: 80, WorkerProcesses: 1}
 	if err := im.Validate(); err == nil {
 		t.Fatal("missing service command accepted")
-	}
-}
-
-func TestImageCloneIsDeep(t *testing.T) {
-	im := NewBuilder("x").WithService("/srv/app", 100, 80).WithSystemServices("network").MustBuild()
-	c := im.Clone()
-	c.RootFS.Remove("/srv/app")
-	c.SystemServices[0] = "changed"
-	if !im.RootFS.Contains("/srv/app") || im.SystemServices[0] != "network" {
-		t.Fatal("clone aliases original")
 	}
 }
 
@@ -215,10 +192,9 @@ func TestDownloadDeliversCloneAfterTransferTime(t *testing.T) {
 	if got == nil {
 		t.Fatal("download never completed")
 	}
-	// The clone must be private.
-	got.RootFS.Remove("/usr/sbin/httpd")
-	if !im.RootFS.Contains("/usr/sbin/httpd") {
-		t.Fatal("download returned an aliased image")
+	// Every delivery is the published image itself.
+	if got != im {
+		t.Fatal("download delivered something other than the published image")
 	}
 	// 10 MB + framing at 100 Mbps ≈ 0.85 s.
 	want := float64(WireBytes(im)) / simnet.Mbps(100)

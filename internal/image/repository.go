@@ -111,8 +111,8 @@ func WireBytes(im *Image) int64 {
 }
 
 // Download transfers the named image to destIP (a SODA Daemon's host
-// address). onDone receives a private clone of the image — the daemon
-// tailors its copy without disturbing the repository. Download time is
+// address). onDone receives the published image itself, shared with
+// every other delivery; tailoring only reads it. Download time is
 // governed by the LAN model, so it grows linearly with image size, the
 // §4.3 in-text result.
 func (r *Repository) Download(name string, destIP simnet.IP, onDone func(*Image), onErr func(error)) {
@@ -141,11 +141,11 @@ func (r *Repository) Download(name string, destIP simnet.IP, onDone func(*Image)
 		}
 		err := r.net.Transfer(r.IP, destIP, WireBytes(im), func() {
 			if onDone != nil {
-				c := im.Clone()
 				if fault == FaultCorrupt {
-					c.Corrupt()
+					onDone(im.Corrupted())
+				} else {
+					onDone(im)
 				}
-				onDone(c)
 			}
 		})
 		if err != nil {

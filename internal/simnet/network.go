@@ -255,18 +255,12 @@ func (nic *NIC) RemoveIP(ip IP) {
 	delete(nic.shaper.caps, nic.net.classKey(ip))
 }
 
-// IPs returns the number of addresses the bridge answers for.
-func (nic *NIC) IPs() int { return len(nic.ips) }
-
 // SetShaperMode switches the shaper semantics, re-dividing rates
 // immediately.
 func (nic *NIC) SetShaperMode(m ShaperMode) {
 	nic.shaper.mode = m
 	nic.out.Redivide()
 }
-
-// ShaperMode returns the active semantics.
-func (nic *NIC) ShaperMode() ShaperMode { return nic.shaper.mode }
 
 // SetShaperCap installs an outbound bandwidth allocation (in Mbps) for
 // traffic sourced from ip — the host-OS traffic shaper of §4.2. An

@@ -224,7 +224,7 @@ func (d *Daemon) fetchChunked(repo *image.Repository, name string, fanOut int, p
 					w.onErr(err)
 				}
 			} else if w.onDone != nil {
-				w.onDone(img.Clone())
+				w.onDone(img)
 			}
 		}
 	}
@@ -304,7 +304,7 @@ func (d *Daemon) fetchChunked(repo *image.Repository, name string, fanOut int, p
 			if _, already := d.store.images[name]; !already {
 				sizeMB := img.SizeMB()
 				if err := d.host.UseDisk(sizeMB); err == nil {
-					d.store.images[name] = &storedImage{img: img.Clone(), manifest: m, diskMB: sizeMB}
+					d.store.images[name] = &storedImage{img: img, manifest: m, diskMB: sizeMB}
 				}
 			}
 			d.announce(name, len(m.Chunks), m.Chunks[len(m.Chunks)-1].ID, true)

@@ -290,13 +290,13 @@ func (d *Daemon) DropImageCache() {
 	}
 }
 
-// fetchImage produces a private clone of the named image. With chunk
-// distribution on, that is a local clone when the store holds it
-// assembled, else a tracker-planned multi-source chunk fetch; otherwise
-// it is the paper's whole-image HTTP download (§4.3). fanOut is how many
-// sibling primes were fanned out with this one — it pre-sizes download
-// deadlines for repository-link contention. parent is the prime's
-// image.download span.
+// fetchImage delivers the named image, the published one shared by every
+// node primed from it. With chunk distribution on, that is a local read
+// when the store holds it assembled, else a tracker-planned multi-source
+// chunk fetch; otherwise it is the paper's whole-image HTTP download
+// (§4.3). fanOut is how many sibling primes were fanned out with this one
+// — it pre-sizes download deadlines for repository-link contention.
+// parent is the prime's image.download span.
 func (d *Daemon) fetchImage(repo *image.Repository, name string, fanOut int, parent *telemetry.Span, onDone func(*image.Image), onErr func(error)) {
 	if d.store != nil {
 		if si, hit := d.store.images[name]; hit {
@@ -304,12 +304,12 @@ func (d *Daemon) fetchImage(repo *image.Repository, name string, fanOut int, par
 			d.cacheHitCtr.Inc()
 			d.ChunksHit += len(si.manifest.Chunks)
 			d.chunkHitCtr.Add(int64(len(si.manifest.Chunks)))
-			// Cloning the cached master costs a local disk read, not a
+			// Reading the cached master costs a local disk read, not a
 			// network transfer.
-			p := d.host.Spawn("sodad/cache-clone", 0)
+			p := d.host.Spawn("sodad/cache-read", 0)
 			p.ReadDiskSequential(si.img.SizeBytes(), func() {
 				d.host.Kill(p)
-				onDone(si.img.Clone())
+				onDone(si.img)
 			})
 			return
 		}

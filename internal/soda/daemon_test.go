@@ -339,7 +339,7 @@ func TestImageCacheSkipsRepeatDownloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Both land on seattle (most free CPU). The second prime must hit the
-	// cache: a local clone is far faster than the 15MB transfer.
+	// cache: a local read is far faster than the 15MB transfer.
 	if first.Nodes[0].HostName != second.Nodes[0].HostName {
 		t.Skipf("services landed on different hosts: %s vs %s",
 			first.Nodes[0].HostName, second.Nodes[0].HostName)
@@ -352,8 +352,8 @@ func TestImageCacheSkipsRepeatDownloads(t *testing.T) {
 		t.Fatalf("cached fetch %.2fs not much faster than download %.2fs",
 			second.Nodes[0].DownloadTime.Seconds(), first.Nodes[0].DownloadTime.Seconds())
 	}
-	// Tailoring node b's clone must not corrupt the cached master: a
-	// third service still boots fine.
+	// Booting node b must leave the cached master intact: a third
+	// service still boots fine.
 	if _, err := tb.CreateService("genome-key", soda.ServiceSpec{
 		Name: "c", ImageName: img.Name, Repository: hup.RepoIP,
 		Requirement: soda.Requirement{N: 1, M: m}, GuestProfile: img.SystemServices,
@@ -363,5 +363,71 @@ func TestImageCacheSkipsRepeatDownloads(t *testing.T) {
 	d.DropImageCache()
 	if d.CachedImages() != 0 {
 		t.Fatal("cache not dropped")
+	}
+}
+
+// TestCorruptWholeImageDeliveryRetries covers the paper's whole-image
+// download (no chunk store) when the repository corrupts one delivery:
+// the prime retries and succeeds, and the corruption stays with the one
+// delivery — the published image, which every node shares, still
+// verifies, and another daemon's delivery of it verifies too.
+func TestCorruptWholeImageDeliveryRetries(t *testing.T) {
+	hosts := []hostos.Spec{hostos.Tacoma(), hostos.Tacoma()}
+	hosts[0].Name, hosts[1].Name = "replica-00", "replica-01"
+	tb, err := hup.New(hup.Config{Hosts: hosts, Seed: 76})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Agent.RegisterASP("asp", "key"); err != nil {
+		t.Fatal(err)
+	}
+	img := hup.HoneypotImage("img")
+	if err := tb.Publish(img); err != nil {
+		t.Fatal(err)
+	}
+	corrupted := 0
+	tb.Repo.SetFaultHook(func(string) image.FaultKind {
+		if corrupted == 0 {
+			corrupted++
+			return image.FaultCorrupt
+		}
+		return image.FaultNone
+	})
+	create := func(name string) *soda.Service {
+		t.Helper()
+		svc, err := tb.CreateService("key", soda.ServiceSpec{
+			Name: name, ImageName: img.Name, Repository: hup.RepoIP,
+			Requirement: soda.Requirement{N: 1, M: oneNodeM()}, GuestProfile: img.SystemServices,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	retries := func(svc *soda.Service) int {
+		for _, d := range tb.Daemons {
+			if d.Host().Spec.Name == svc.Nodes[0].HostName {
+				return d.DownloadRetries
+			}
+		}
+		t.Fatalf("no daemon on %s", svc.Nodes[0].HostName)
+		return 0
+	}
+	a := create("a")
+	if corrupted != 1 || retries(a) != 1 {
+		t.Fatalf("corrupted %d deliveries, %d retries; want 1 and 1", corrupted, retries(a))
+	}
+	if published, err := tb.Repo.Lookup(img.Name); err != nil || published != img || !img.Verify() {
+		t.Fatalf("published image no longer verifies (lookup err %v)", err)
+	}
+	// oneNodeM fits one node per tacoma, so b primes on the other daemon.
+	b := create("b")
+	if b.Nodes[0].HostName == a.Nodes[0].HostName || retries(b) != 0 {
+		t.Fatalf("b on %s (a on %s) with %d retries", b.Nodes[0].HostName, a.Nodes[0].HostName, retries(b))
+	}
+	for _, svc := range []*soda.Service{a, b} {
+		if g := svc.Nodes[0].Guest; g.Image != img || !g.Image.Verify() {
+			t.Fatalf("%s runs an image other than the verified published one", svc.Spec.Name)
+		}
 	}
 }

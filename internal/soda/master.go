@@ -199,11 +199,13 @@ func (m *Master) Instrument(reg *telemetry.Registry, tracer *telemetry.Tracer) {
 		// The event mechanism consumes the span stream: every closed span
 		// becomes an EventSpanEnded for the registered observers.
 		tracer.OnEnd(func(sp *telemetry.Span) {
-			svcName, _ := sp.Attr("service")
-			node, _ := sp.Attr("node")
 			// Route via the current leader so observers keep receiving span
-			// events after a failover moved them.
-			m.currentLeader().emit(EventSpanEnded, svcName, node, fmt.Sprintf("%s took %v", sp.Name, sp.Duration()))
+			// events after a failover moved them; with none, format nothing.
+			if lead := m.currentLeader(); len(lead.observers) > 0 {
+				svcName, _ := sp.Attr("service")
+				node, _ := sp.Attr("node")
+				lead.emit(EventSpanEnded, svcName, node, fmt.Sprintf("%s took %v", sp.Name, sp.Duration()))
+			}
 		})
 	}
 	m.admittedCtr = reg.Counter("soda_master_admitted_total")
@@ -258,10 +260,6 @@ func (m *Master) EnableAccounting(a *accounting.Accountant) {
 		m.currentLeader().emit(EventSLOViolation, v.Service, "", v.Detail)
 	})
 }
-
-// Accountant returns the attached accountant (nil when accounting is
-// disabled).
-func (m *Master) Accountant() *accounting.Accountant { return m.acct }
 
 // EnableRequestTracing attaches the tail-sampling request-trace store:
 // every switch the Master creates gets a per-service collector, its

@@ -39,8 +39,8 @@ type BootRequest struct {
 	IP simnet.IP
 	// NodeName labels the node ("web-1").
 	NodeName string
-	// Image is the (already downloaded, privately cloned) service image;
-	// it is tailored in place.
+	// Image is the downloaded service image, shared with every other
+	// node booted from it; Boot only reads it.
 	Image *image.Image
 	// Profile is the guest-OS configuration shipped in the image — the
 	// full set of system services present before tailoring.
@@ -85,8 +85,7 @@ func Boot(req BootRequest, onDone func(*BootReport), onErr func(error)) {
 		fail(fmt.Errorf("uml: boot request missing host or image"))
 		return
 	}
-	catalog := StandardCatalog()
-	tailor, err := Tailor(catalog, req.Image.RootFS, req.Profile, req.Image.SystemServices)
+	tailor, err := Tailor(StandardCatalog, req.Image.RootFS, req.Profile, req.Image.SystemServices)
 	if err != nil {
 		fail(err)
 		return
@@ -96,7 +95,7 @@ func Boot(req BootRequest, onDone func(*BootReport), onErr func(error)) {
 	booter := h.Spawn(req.NodeName+"/boot", req.UID)
 	report := &BootReport{Tailor: tailor, PressureFactor: 1}
 
-	sizeMB := req.Image.SizeMB()
+	sizeMB := image.BytesToMB(tailor.RootBytes)
 	free := h.MemoryFreeMB() - hostOSOverheadMB
 	useRAM := sizeMB <= free
 	if useRAM {
@@ -168,7 +167,7 @@ func Boot(req BootRequest, onDone func(*BootReport), onErr func(error)) {
 		if useRAM {
 			booter.Exec(cycles.Cycles(sizeMB)*ramMountCyclesPerMB, startServices)
 		} else {
-			booter.ReadDiskSequential(req.Image.SizeBytes(), startServices)
+			booter.ReadDiskSequential(tailor.RootBytes, startServices)
 		}
 	}
 

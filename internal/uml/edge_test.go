@@ -1,6 +1,7 @@
 package uml
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/hostos"
@@ -69,7 +70,7 @@ func TestGuestStateStrings(t *testing.T) {
 }
 
 func TestCatalogNamesSortedAndLen(t *testing.T) {
-	c := StandardCatalog()
+	c := StandardCatalog
 	names := c.Names()
 	if len(names) != c.Len() || len(names) < 25 {
 		t.Fatalf("catalog size = %d", len(names))
@@ -85,28 +86,19 @@ func TestCatalogNamesSortedAndLen(t *testing.T) {
 }
 
 func TestTailorIsIdempotentOnRetainedSet(t *testing.T) {
-	c := StandardCatalog()
+	c := StandardCatalog
 	img := testImage(ProfileFullServer(), 40)
 	first, err := Tailor(c, img.RootFS, ProfileFullServer(), []string{"httpd"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tailoring an already-tailored tree drops nothing further from /etc.
+	// The tree is only read, so tailoring it again gives the same result.
 	second, err := Tailor(c, img.RootFS, ProfileFullServer(), []string{"httpd"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fsBytes int64
-	for _, d := range second.Dropped {
-		if f := img.RootFS.Lookup("/etc/init.d/" + d); f != nil {
-			fsBytes += f.SizeBytes
-		}
-	}
-	if fsBytes != 0 {
-		t.Fatal("second tailoring found files the first should have pruned")
-	}
-	if len(first.Retained) != len(second.Retained) {
-		t.Fatal("retained set unstable")
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("second tailoring %+v differs from the first %+v", second, first)
 	}
 }
 

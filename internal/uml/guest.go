@@ -47,7 +47,7 @@ type Guest struct {
 	UID int
 	// IP is the node's bridged address.
 	IP simnet.IP
-	// Image is the tailored service image the node runs.
+	// Image is the service image the node runs, as published.
 	Image *image.Image
 
 	host    *hostos.Host

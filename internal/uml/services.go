@@ -36,26 +36,25 @@ type SystemService struct {
 }
 
 // Catalog is a registry of system services with dependency resolution.
+// Its writers are unexported: a built catalog is read-only.
 type Catalog struct {
 	services map[string]*SystemService
 }
 
-// NewCatalog returns an empty catalog.
-func NewCatalog() *Catalog {
+func newCatalog() *Catalog {
 	return &Catalog{services: make(map[string]*SystemService)}
 }
 
-// Register adds a service. Re-registering a name replaces it.
-func (c *Catalog) Register(s SystemService) error {
+// register adds a service. Re-registering a name replaces it.
+func (c *Catalog) register(s SystemService) error {
 	if s.Name == "" {
 		return fmt.Errorf("uml: unnamed system service")
 	}
 	if s.StartCycles < 0 || s.LibBytes < 0 {
 		return fmt.Errorf("uml: service %s with negative cost", s.Name)
 	}
-	cp := s
-	cp.Deps = append([]string(nil), s.Deps...)
-	c.services[s.Name] = &cp
+	sort.Strings(s.Deps) // Closure visits dependencies in name order
+	c.services[s.Name] = &s
 	return nil
 }
 
@@ -100,9 +99,7 @@ func (c *Catalog) Closure(requested []string) ([]*SystemService, error) {
 			return fmt.Errorf("uml: unknown system service %q (requested via %v)", name, chain)
 		}
 		state[name] = grey
-		deps := append([]string(nil), s.Deps...)
-		sort.Strings(deps)
-		for _, d := range deps {
+		for _, d := range s.Deps {
 			if err := visit(d, append(chain, name)); err != nil {
 				return err
 			}
@@ -130,15 +127,15 @@ func TotalStartCycles(list []*SystemService) cycles.Cycles {
 	return total
 }
 
-// StandardCatalog returns the Red Hat 7.2–era service catalog used by the
+// StandardCatalog is the Red Hat 7.2–era service catalog used by the
 // Table 2 profiles. Start costs are in cycles; the heavyweight entries
 // (kudzu's hardware probe, sendmail's DNS timeouts, database and NFS
 // startup) dominate the full-server profile S_IV exactly as they dominate
 // a real rh-7.2 boot.
-func StandardCatalog() *Catalog {
-	c := NewCatalog()
+var StandardCatalog = func() *Catalog {
+	c := newCatalog()
 	reg := func(name string, gigacycles float64, libMB int64, deps ...string) {
-		if err := c.Register(SystemService{
+		if err := c.register(SystemService{
 			Name:        name,
 			StartCycles: cycles.Cycles(gigacycles * 1e9),
 			LibBytes:    libMB << 20,
@@ -182,7 +179,7 @@ func StandardCatalog() *Catalog {
 	reg("mysql", 7.5, 12, "network", "syslog")
 	reg("rhnsd", 0.5, 1, "network")
 	return c
-}
+}()
 
 // Profiles: the guest-OS configurations of the paper's Table 2.
 
@@ -207,5 +204,5 @@ func ProfileLFS() []string {
 // ProfileFullServer is S_IV's root_fs.rh-7.2-server.pristine: "a
 // full-blown Linux server" — every service in the catalog.
 func ProfileFullServer() []string {
-	return StandardCatalog().Names()
+	return StandardCatalog.Names()
 }

@@ -2,6 +2,7 @@ package uml
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cycles"
@@ -18,6 +19,8 @@ type TailorResult struct {
 	Dropped []string
 	// ReclaimedBytes is the root-file-system space freed by pruning.
 	ReclaimedBytes int64
+	// RootBytes is the size of the tailored root file system.
+	RootBytes int64
 	// CPUCost is the tailoring pass's processing cost (dependency
 	// checking plus file-system surgery).
 	CPUCost cycles.Cycles
@@ -37,21 +40,13 @@ const (
 // services present in the image's guest-OS configuration; the image's own
 // SystemServices say what the application actually needs.
 //
-// The root file system is modified in place; callers pass the private
-// clone obtained from the repository download.
+// Tailor only reads rootfs: every node booted from the image shares it.
 func Tailor(c *Catalog, rootfs *image.Tree, profile []string, required []string) (*TailorResult, error) {
 	if rootfs == nil {
 		return nil, fmt.Errorf("uml: tailoring a nil root file system")
 	}
 	for _, r := range required {
-		found := false
-		for _, p := range profile {
-			if p == r {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(profile, r) {
 			return nil, fmt.Errorf("uml: image requires service %q absent from guest profile", r)
 		}
 	}
@@ -63,7 +58,7 @@ func Tailor(c *Catalog, rootfs *image.Tree, profile []string, required []string)
 	for _, s := range retained {
 		keep[s.Name] = true
 	}
-	res := &TailorResult{Retained: retained}
+	res := &TailorResult{Retained: retained, RootBytes: rootfs.SizeBytes()}
 	profileClosure, err := c.Closure(profile)
 	if err != nil {
 		return nil, err
@@ -74,19 +69,21 @@ func Tailor(c *Catalog, rootfs *image.Tree, profile []string, required []string)
 			continue
 		}
 		res.Dropped = append(res.Dropped, s.Name)
-		if f := rootfs.Lookup("/etc/init.d/" + s.Name); f != nil {
-			res.ReclaimedBytes += f.SizeBytes
-			rootfs.Remove("/etc/init.d/" + s.Name)
-			res.CPUCost += pruneCycles
-		}
-		// Libraries pulled in only for this service go too. The image
-		// builder stores them under /usr/lib/<service>/ when present;
-		// otherwise the catalog's LibBytes models their weight.
-		if n, b := rootfs.RemovePrefix("/usr/lib/" + s.Name); n > 0 {
-			res.ReclaimedBytes += b
-			res.CPUCost += cycles.Cycles(n) * pruneCycles
-		} else {
+		// Its init script goes, and so do the libraries only it pulled
+		// in: the image builder stores them under /usr/lib/<service>/
+		// when present; otherwise the catalog's LibBytes models their
+		// weight.
+		pruned := rootfs.ListDir("/usr/lib/" + s.Name)
+		if len(pruned) == 0 {
 			res.ReclaimedBytes += s.LibBytes
+		}
+		if f, ok := rootfs.Lookup("/etc/init.d/" + s.Name); ok {
+			pruned = append(pruned, f)
+		}
+		for _, f := range pruned {
+			res.ReclaimedBytes += f.SizeBytes
+			res.RootBytes -= f.SizeBytes
+			res.CPUCost += pruneCycles
 		}
 	}
 	sort.Strings(res.Dropped)

@@ -2,6 +2,7 @@ package uml
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,7 +47,7 @@ func bootOn(t *testing.T, spec hostos.Spec, profile []string, sizeMB int, memMB 
 }
 
 func TestCatalogClosureOrdersDependenciesFirst(t *testing.T) {
-	c := StandardCatalog()
+	c := StandardCatalog
 	order, err := c.Closure([]string{"sshd"})
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +67,7 @@ func TestCatalogClosureOrdersDependenciesFirst(t *testing.T) {
 }
 
 func TestCatalogClosureDeduplicates(t *testing.T) {
-	c := StandardCatalog()
+	c := StandardCatalog
 	order, err := c.Closure([]string{"sshd", "httpd", "sshd"})
 	if err != nil {
 		t.Fatal(err)
@@ -81,26 +82,26 @@ func TestCatalogClosureDeduplicates(t *testing.T) {
 }
 
 func TestCatalogClosureUnknownServiceFails(t *testing.T) {
-	if _, err := StandardCatalog().Closure([]string{"no-such-daemon"}); err == nil {
+	if _, err := StandardCatalog.Closure([]string{"no-such-daemon"}); err == nil {
 		t.Fatal("unknown service accepted")
 	}
 }
 
 func TestCatalogClosureDetectsCycles(t *testing.T) {
-	c := NewCatalog()
-	c.Register(SystemService{Name: "a", Deps: []string{"b"}})
-	c.Register(SystemService{Name: "b", Deps: []string{"a"}})
+	c := newCatalog()
+	c.register(SystemService{Name: "a", Deps: []string{"b"}})
+	c.register(SystemService{Name: "b", Deps: []string{"a"}})
 	if _, err := c.Closure([]string{"a"}); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("cycle not detected: %v", err)
 	}
 }
 
 func TestCatalogRegisterValidation(t *testing.T) {
-	c := NewCatalog()
-	if err := c.Register(SystemService{}); err == nil {
+	c := newCatalog()
+	if err := c.register(SystemService{}); err == nil {
 		t.Fatal("unnamed service accepted")
 	}
-	if err := c.Register(SystemService{Name: "x", StartCycles: -1}); err == nil {
+	if err := c.register(SystemService{Name: "x", StartCycles: -1}); err == nil {
 		t.Fatal("negative cost accepted")
 	}
 }
@@ -108,7 +109,7 @@ func TestCatalogRegisterValidation(t *testing.T) {
 func TestStandardCatalogProfileCostsOrdering(t *testing.T) {
 	// The calibrated totals must preserve the paper's ordering:
 	// S_II < S_I, S_III small, S_IV enormous.
-	c := StandardCatalog()
+	c := StandardCatalog
 	total := func(profile []string) cycles.Cycles {
 		list, err := c.Closure(profile)
 		if err != nil {
@@ -127,10 +128,10 @@ func TestStandardCatalogProfileCostsOrdering(t *testing.T) {
 }
 
 func TestTailorPrunesUnneededServices(t *testing.T) {
-	c := StandardCatalog()
+	c := StandardCatalog
 	profile := ProfileFullServer()
 	img := testImage(profile, 40)
-	before := img.RootFS.Len()
+	before := img.RootFS.List()
 	res, err := Tailor(c, img.RootFS, profile, []string{"httpd", "sshd"})
 	if err != nil {
 		t.Fatal(err)
@@ -145,22 +146,23 @@ func TestTailorPrunesUnneededServices(t *testing.T) {
 	if keep["sendmail"] || keep["mysql"] {
 		t.Fatal("unneeded heavyweights retained")
 	}
-	if img.RootFS.Contains("/etc/init.d/sendmail") {
-		t.Fatal("pruned init script still present")
+	if !slices.Contains(res.Dropped, "sendmail") || slices.Contains(res.Dropped, "httpd") {
+		t.Fatalf("dropped = %v, want sendmail in and httpd out", res.Dropped)
 	}
-	if img.RootFS.Contains("/etc/init.d/httpd") == false {
-		t.Fatal("retained init script pruned")
-	}
-	if img.RootFS.Len() >= before {
-		t.Fatal("tailoring removed nothing")
+	if res.RootBytes >= img.SizeBytes() {
+		t.Fatalf("tailored root %d B, packaged tree %d B: tailoring removed nothing", res.RootBytes, img.SizeBytes())
 	}
 	if res.ReclaimedBytes <= 0 || res.CPUCost <= 0 {
 		t.Fatalf("result accounting empty: %+v", res)
 	}
+	// Tailoring is a read: the shared tree is unchanged.
+	if !slices.Equal(img.RootFS.List(), before) || !img.Verify() {
+		t.Fatal("tailoring changed the image's tree")
+	}
 }
 
 func TestTailorRejectsRequirementOutsideProfile(t *testing.T) {
-	c := StandardCatalog()
+	c := StandardCatalog
 	img := testImage([]string{"httpd"}, 10)
 	if _, err := Tailor(c, img.RootFS, []string{"httpd"}, []string{"mysql"}); err == nil {
 		t.Fatal("requirement outside profile accepted")
@@ -168,7 +170,7 @@ func TestTailorRejectsRequirementOutsideProfile(t *testing.T) {
 }
 
 func TestTailorNilRootfs(t *testing.T) {
-	if _, err := Tailor(StandardCatalog(), nil, nil, nil); err == nil {
+	if _, err := Tailor(StandardCatalog, nil, nil, nil); err == nil {
 		t.Fatal("nil rootfs accepted")
 	}
 }
@@ -226,7 +228,7 @@ func TestBootFullServerShowsMemoryPressureOnTacoma(t *testing.T) {
 
 func TestBootStartsServicesInClosureOnly(t *testing.T) {
 	_, _, report, _ := bootOn(t, hostos.Seattle(), ProfileBase(), 29, 256)
-	closure, _ := StandardCatalog().Closure(ProfileBase())
+	closure, _ := StandardCatalog.Closure(ProfileBase())
 	if report.ServicesStarted != len(closure) {
 		t.Fatalf("started %d services, want %d", report.ServicesStarted, len(closure))
 	}
@@ -350,5 +352,49 @@ func TestGuestSyscallPaysInterceptionTax(t *testing.T) {
 	want := cycles.UMLCost(cycles.Dup2).Duration(h.Spec.Clock)
 	if math.Abs(float64(guestDur-want)) > float64(want)/100 {
 		t.Fatalf("guest dup2 took %v, want %v", guestDur, want)
+	}
+}
+
+// TestBootSizesRootFromTailoredTree boots images packaged with the
+// full-server guest profile whose application needs only httpd, so
+// tailoring drops every other service's init script and the 12 MB of
+// mysql libraries: the RAM disk, or the disk read when the root does not
+// fit in memory, follows the tailored root, not the packaged tree.
+func TestBootSizesRootFromTailoredTree(t *testing.T) {
+	for _, tc := range []struct {
+		host    hostos.Spec
+		imageMB int
+		ramMB   int // 0: disk-mounted
+		want    sim.Time
+	}{
+		{hostos.Seattle(), 40, 28, 1829230772},
+		{hostos.Tacoma(), 700, 0, 22341161269},
+	} {
+		b := image.NewBuilder("svc").
+			WithService("/usr/sbin/httpd", 2<<20, 8080).
+			WithWorkers(2).
+			WithSystemServices("httpd").
+			WithFile("/usr/lib/mysql/libmysqlclient.so", 12<<20)
+		for _, s := range ProfileFullServer() {
+			if s != "httpd" {
+				b.WithFile("/etc/init.d/"+s, 4096)
+			}
+		}
+		k := sim.NewKernel()
+		h := hostos.MustNew(k, tc.host, nil)
+		var report *BootReport
+		Boot(BootRequest{Host: h, UID: 1000, IP: "128.10.9.125", NodeName: "node-1",
+			Image: b.PadToMB(tc.imageMB).MustBuild(), Profile: ProfileFullServer()},
+			func(r *BootReport) { report = r }, func(err error) { t.Fatal(err) })
+		end := k.Run()
+		if report == nil {
+			t.Fatal("boot never completed")
+		}
+		if report.RAMDisk != (tc.ramMB > 0) || report.Guest.ramMB != tc.ramMB {
+			t.Errorf("%s: RAM disk %v of %d MB, want %d MB", tc.host.Name, report.RAMDisk, report.Guest.ramMB, tc.ramMB)
+		}
+		if end != tc.want {
+			t.Errorf("%s: boot took %d ns, want %d", tc.host.Name, end, tc.want)
+		}
 	}
 }
