@@ -151,9 +151,9 @@ func runPrimeOnce(n int, seed uint64, chunked bool) (primeRun, error) {
 	}
 	sort.Float64s(run.nodePrimes)
 	for _, d := range tb.Daemons {
-		run.peerBytes += d.BytesFromPeers
-		run.origBytes += d.BytesFromOrigin
-		run.origChunks += d.ChunksOrigin
+		run.peerBytes += d.BytesFromPeers()
+		run.origBytes += d.BytesFromOrigin()
+		run.origChunks += d.ChunksOrigin()
 	}
 	return run, nil
 }

@@ -57,14 +57,14 @@ func TestChunkedPrimeSingleReplica(t *testing.T) {
 		t.Fatalf("nodes = %d", len(svc.Nodes))
 	}
 	d := tb.Daemons[0]
-	if d.ChunksOrigin != len(man.Chunks) {
-		t.Fatalf("origin chunks = %d, want all %d (no peers exist)", d.ChunksOrigin, len(man.Chunks))
+	if d.ChunksOrigin() != len(man.Chunks) {
+		t.Fatalf("origin chunks = %d, want all %d (no peers exist)", d.ChunksOrigin(), len(man.Chunks))
 	}
-	if d.ChunksPeer != 0 || d.BytesFromPeers != 0 {
-		t.Fatalf("peer sourcing on a one-host HUP: %d chunks, %d bytes", d.ChunksPeer, d.BytesFromPeers)
+	if d.ChunksPeer() != 0 || d.BytesFromPeers() != 0 {
+		t.Fatalf("peer sourcing on a one-host HUP: %d chunks, %d bytes", d.ChunksPeer(), d.BytesFromPeers())
 	}
-	if d.BytesFromOrigin != img.SizeBytes() {
-		t.Fatalf("origin bytes = %d, want image payload %d", d.BytesFromOrigin, img.SizeBytes())
+	if d.BytesFromOrigin() != img.SizeBytes() {
+		t.Fatalf("origin bytes = %d, want image payload %d", d.BytesFromOrigin(), img.SizeBytes())
 	}
 	if d.CachedImages() != 1 {
 		t.Fatal("assembled image not pinned in the store")
@@ -77,8 +77,8 @@ func TestChunkedPrimeSingleReplica(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if d.CacheHits != 1 || d.ChunksHit != len(man.Chunks) {
-		t.Fatalf("repeat prime: hits=%d chunk hits=%d", d.CacheHits, d.ChunksHit)
+	if d.CacheHits() != 1 || d.ChunksHit() != len(man.Chunks) {
+		t.Fatalf("repeat prime: hits=%d chunk hits=%d", d.CacheHits(), d.ChunksHit())
 	}
 }
 
@@ -112,11 +112,11 @@ func TestMassPrimeDedupsOriginAndUsesPeers(t *testing.T) {
 	var origin, peer, refetch int
 	var peerBytes, originBytes int64
 	for _, d := range tb.Daemons {
-		origin += d.ChunksOrigin
-		peer += d.ChunksPeer
-		refetch += d.ChunkRefetches
-		peerBytes += d.BytesFromPeers
-		originBytes += d.BytesFromOrigin
+		origin += d.ChunksOrigin()
+		peer += d.ChunksPeer()
+		refetch += d.ChunkRefetches()
+		peerBytes += d.BytesFromPeers()
+		originBytes += d.BytesFromOrigin()
 		if d.CachedImages() != 1 {
 			t.Fatalf("%s: assembled image not pinned", d.Host().Spec.Name)
 		}
@@ -152,7 +152,7 @@ func TestMassPrimeSameSeedIsByteIdentical(t *testing.T) {
 		tb, _ := massPrime(t, 6, 73)
 		out := make([]tally, len(tb.Daemons))
 		for i, d := range tb.Daemons {
-			out[i] = tally{d.BytesFromPeers, d.BytesFromOrigin, d.ChunksPeer, d.ChunksOrigin, d.ChunksHit}
+			out[i] = tally{d.BytesFromPeers(), d.BytesFromOrigin(), d.ChunksPeer(), d.ChunksOrigin(), d.ChunksHit()}
 		}
 		return out
 	}
@@ -188,16 +188,16 @@ func TestCorruptChunkRefetchesOnlyThatChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := tb.Daemons[0]
-	if d.ChunkRefetches != 1 {
-		t.Fatalf("refetches = %d, want exactly the one corrupt chunk", d.ChunkRefetches)
+	if d.ChunkRefetches() != 1 {
+		t.Fatalf("refetches = %d, want exactly the one corrupt chunk", d.ChunkRefetches())
 	}
 	// Every chunk arrived from the origin exactly once, plus nothing —
 	// the corrupt delivery is not counted, only its clean replacement.
-	if d.ChunksOrigin != len(man.Chunks) {
-		t.Fatalf("origin chunks = %d, want %d", d.ChunksOrigin, len(man.Chunks))
+	if d.ChunksOrigin() != len(man.Chunks) {
+		t.Fatalf("origin chunks = %d, want %d", d.ChunksOrigin(), len(man.Chunks))
 	}
-	if d.DownloadRetries != 0 {
-		t.Fatalf("whole-image retries = %d; corruption must stay chunk-local", d.DownloadRetries)
+	if d.DownloadRetries() != 0 {
+		t.Fatalf("whole-image retries = %d; corruption must stay chunk-local", d.DownloadRetries())
 	}
 }
 
@@ -231,11 +231,11 @@ func TestCrashedHolderFallsBackToOrigin(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := tb.Daemons[1-holder]
-	if other.ChunksPeer != 0 {
-		t.Fatalf("fetched %d chunks from a crashed peer", other.ChunksPeer)
+	if other.ChunksPeer() != 0 {
+		t.Fatalf("fetched %d chunks from a crashed peer", other.ChunksPeer())
 	}
-	if other.ChunksOrigin != len(man.Chunks) {
-		t.Fatalf("origin chunks = %d, want %d", other.ChunksOrigin, len(man.Chunks))
+	if other.ChunksOrigin() != len(man.Chunks) {
+		t.Fatalf("origin chunks = %d, want %d", other.ChunksOrigin(), len(man.Chunks))
 	}
 }
 
@@ -272,11 +272,11 @@ func TestUnreachablePeerFallsBackToOrigin(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := tb.Daemons[1-holder]
-	if other.ChunksPeer != 0 {
-		t.Fatalf("fetched %d chunks across a dead link", other.ChunksPeer)
+	if other.ChunksPeer() != 0 {
+		t.Fatalf("fetched %d chunks across a dead link", other.ChunksPeer())
 	}
-	if other.ChunksOrigin != len(man.Chunks) {
-		t.Fatalf("origin chunks = %d, want %d", other.ChunksOrigin, len(man.Chunks))
+	if other.ChunksOrigin() != len(man.Chunks) {
+		t.Fatalf("origin chunks = %d, want %d", other.ChunksOrigin(), len(man.Chunks))
 	}
 }
 
@@ -293,7 +293,7 @@ func TestDeltaPrimingFetchesOnlyChangedChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := tb.Daemons[0]
-	originAfterV10 := d.ChunksOrigin
+	originAfterV10 := d.ChunksOrigin()
 
 	// web-1.1 ships a bigger binary but identical padding and dataset:
 	// the host holding web-1.0 fetches only the delta.
@@ -329,12 +329,12 @@ func TestDeltaPrimingFetchesOnlyChangedChunks(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	fetched := d.ChunksOrigin - originAfterV10
+	fetched := d.ChunksOrigin() - originAfterV10
 	if fetched != delta {
 		t.Fatalf("v1.1 prime fetched %d chunks, want only the %d-chunk delta", fetched, delta)
 	}
-	if d.ChunksHit < len(m11.Chunks)-delta {
-		t.Fatalf("chunk hits = %d, want ≥ %d shared chunks", d.ChunksHit, len(m11.Chunks)-delta)
+	if d.ChunksHit() < len(m11.Chunks)-delta {
+		t.Fatalf("chunk hits = %d, want ≥ %d shared chunks", d.ChunksHit(), len(m11.Chunks)-delta)
 	}
 	if d.CachedImages() != 2 {
 		t.Fatalf("pinned images = %d, want both versions", d.CachedImages())
@@ -356,7 +356,7 @@ func TestChunkStoreStatsAndDrop(t *testing.T) {
 	// Peer serves happened somewhere.
 	served := 0
 	for _, d := range tb.Daemons {
-		served += d.ChunksServed
+		served += d.ChunksServed()
 	}
 	if served == 0 {
 		t.Fatal("no chunks served by peers")

@@ -1,6 +1,7 @@
 package soda
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -29,6 +30,21 @@ const (
 	// chunkMaxAttempts bounds fetch attempts per chunk before the whole
 	// prime fails.
 	chunkMaxAttempts = 4
+)
+
+// The tracker's side: the Master's planning bounds.
+const (
+	// chunkSourceCap bounds how many chunk transfers the tracker aims at
+	// one peer daemon at a time, across all requesters.
+	chunkSourceCap = 4
+	// chunkOriginCap bounds concurrent chunk transfers from the
+	// repository — the budget mass priming is trying to stop
+	// monopolising.
+	chunkOriginCap = 8
+	// chunkAssignTTL expires an assignment whose requester never
+	// announced the chunk (it crashed or gave up), releasing the
+	// source's slot.
+	chunkAssignTTL = 60 * sim.Second
 )
 
 // Chunk protocol wire sizes (beyond what internal/image models): the
@@ -66,19 +82,6 @@ type heldImage struct {
 	full  bool
 }
 
-// chunkFetchJob is one in-flight chunked image fetch. Concurrent primes
-// of the same image on one daemon share a job (no duplicate fetches);
-// extra callers just register as waiters.
-type chunkFetchJob struct {
-	waiters []chunkWaiter
-	settled bool
-}
-
-type chunkWaiter struct {
-	onDone func(*image.Image)
-	onErr  func(error)
-}
-
 // ChunkStoreEnabled reports whether the daemon retains images as chunks.
 func (d *Daemon) ChunkStoreEnabled() bool { return d.store != nil }
 
@@ -96,8 +99,31 @@ func (d *Daemon) attachChunkCoordinator(m *Master, index int) {
 	d.coord = m
 	d.coordIdx = index
 	d.fetchSet = simnet.NewFetchSet(d.net, chunkPerSourceCap)
-	d.fetching = make(map[string]*chunkFetchJob)
+	d.fetching = make(map[string]*chunkFetch)
 }
+
+// ChunksHit counts chunks a fetch found already held (delta priming) or
+// read from a pinned image.
+func (d *Daemon) ChunksHit() int { return int(d.chunkHitCtr.Value()) }
+
+// ChunksPeer counts chunks fetched from peer daemons.
+func (d *Daemon) ChunksPeer() int { return int(d.chunkPeerCtr.Value()) }
+
+// ChunksOrigin counts chunks fetched from the repository.
+func (d *Daemon) ChunksOrigin() int { return int(d.chunkOriginCtr.Value()) }
+
+// ChunksServed counts chunks this daemon served to peers.
+func (d *Daemon) ChunksServed() int { return int(d.chunkServedCtr.Value()) }
+
+// ChunkRefetches counts chunk deliveries that failed verification.
+func (d *Daemon) ChunkRefetches() int { return int(d.chunkRefetchCtr.Value()) }
+
+// BytesFromPeers counts chunk payload bytes fetched from peer daemons.
+func (d *Daemon) BytesFromPeers() int64 { return d.bytesPeerCtr.Value() }
+
+// BytesFromOrigin counts chunk payload bytes fetched from the
+// repository.
+func (d *Daemon) BytesFromOrigin() int64 { return d.bytesOriginCtr.Value() }
 
 // ChunkStoreStats is the daemon's chunk-store occupancy and sourcing
 // breakdown.
@@ -120,10 +146,10 @@ type ChunkStoreStats struct {
 func (d *Daemon) ChunkStoreStats() ChunkStoreStats {
 	st := ChunkStoreStats{
 		Host:      d.host.Spec.Name,
-		CacheHits: d.CacheHits, ChunksHit: d.ChunksHit,
-		ChunksPeer: d.ChunksPeer, ChunksOrig: d.ChunksOrigin,
-		Refetches: d.ChunkRefetches,
-		PeerBytes: d.BytesFromPeers, OriginBytes: d.BytesFromOrigin,
+		CacheHits: d.CacheHits(), ChunksHit: d.ChunksHit(),
+		ChunksPeer: d.ChunksPeer(), ChunksOrig: d.ChunksOrigin(),
+		Refetches: d.ChunkRefetches(),
+		PeerBytes: d.BytesFromPeers(), OriginBytes: d.BytesFromOrigin(),
 	}
 	if d.store == nil {
 		return st
@@ -175,7 +201,6 @@ func (d *Daemon) serveChunk(id uint64, destIP simnet.IP, onChunk func(sum uint64
 		return
 	}
 	c := image.Chunk{ID: id, Bytes: d.store.chunks[id]}
-	d.ChunksServed++
 	d.chunkServedCtr.Inc()
 	if err := d.net.Transfer(d.HostIP, destIP, image.ChunkWireBytes(&c), func() {
 		if onChunk != nil {
@@ -197,335 +222,306 @@ func mix64(h uint64) uint64 {
 	return h
 }
 
-// fetchChunked is the multi-source chunk fetch engine: fetch the
-// manifest, skip chunks already held (delta priming), then drain the
-// rest through tracker-planned sources — peers preferred, origin
-// deduplicated, corrupt or lost chunks individually re-fetched.
-// fanOut scales the overall deadline for flash-crowd primes.
-func (d *Daemon) fetchChunked(repo *image.Repository, name string, fanOut int, parent *telemetry.Span, onDone func(*image.Image), onErr func(error)) {
-	job, running := d.fetching[name]
-	if running {
-		job.waiters = append(job.waiters, chunkWaiter{onDone: onDone, onErr: onErr})
+// chunkFetch is one daemon's in-flight chunked fetch of an image, the
+// multi-source engine, with a method per stage: fetchManifest; classify,
+// which counts held chunks as hits (delta priming) and queues the rest;
+// plan and planned, which ask the tracker for sources in batches;
+// launch, one chunk attempt; delivered and failed, its outcome, a
+// corrupt or lost chunk being re-fetched alone; assemble; and settle,
+// which ends the fetch once for every waiter. Concurrent primes of the
+// image on the daemon join the running fetch as waiters.
+type chunkFetch struct {
+	d      *Daemon
+	repo   *image.Repository
+	name   string
+	fanOut int
+	parent *telemetry.Span
+
+	// onDone and onErr hold each waiter's callbacks, in arrival order.
+	onDone  []func(*image.Image)
+	onErr   []func(error)
+	settled bool
+
+	// Set by classify: the manifest, the image.fetch span and the
+	// per-source tallies it reports.
+	m                           *image.Manifest
+	span                        *telemetry.Span
+	hits, fromPeers, fromOrigin int
+
+	// unplanned chunks wait for a plan RPC (at most one in flight),
+	// deferred ones for the replan timer; outstanding counts attempts
+	// in flight, attempts each chunk's failed ones.
+	unplanned, deferred   []uint64
+	planInFlight          bool
+	outstanding           int
+	attempts              map[uint64]int
+	replanTimer, deadline sim.Timer
+}
+
+// chunkDelivery is what a chunk attempt receives: the payload's checksum
+// and size.
+type chunkDelivery struct {
+	sum     uint64
+	payload int64
+}
+
+// fetchManifest runs the manifest fetch under the whole-image download's
+// retry discipline. The manifest is tiny, so its attempts get a short
+// deadline.
+func (f *chunkFetch) fetchManifest() {
+	fetchWithRetry(f.d, "manifest fetch", f.name, 10*sim.Second, func(ok func(*image.Manifest), fail func(error)) {
+		f.repo.FetchManifest(f.name, f.d.HostIP, ok, fail)
+	}, f.classify, func(err error) { f.settle(nil, err) })
+}
+
+// classify counts the chunks already held as hits and queues the rest
+// for planning in a per-host deterministic permutation, so concurrent
+// requesters spread across the chunk space instead of stampeding the
+// same prefix. It assembles at once when nothing is missing; otherwise
+// it arms the overall deadline — the whole-image attempt deadline,
+// sized for the fan-out's repository-link contention — and plans.
+func (f *chunkFetch) classify(m *image.Manifest) {
+	d := f.d
+	f.m = m
+	f.span = f.parent.StartChild("image.fetch",
+		telemetry.L("image", f.name),
+		telemetry.L("chunks", fmt.Sprint(len(m.Chunks))))
+	salt := mix64(fnvNameSalt(d.host.Spec.Name))
+	for i := range m.Chunks {
+		if id := m.Chunks[i].ID; d.store.holdsChunk(id) {
+			f.hits++
+		} else {
+			f.unplanned = append(f.unplanned, id)
+		}
+	}
+	d.chunkHitCtr.Add(int64(f.hits))
+	sort.Slice(f.unplanned, func(i, j int) bool {
+		return mix64(f.unplanned[i]^salt) < mix64(f.unplanned[j]^salt)
+	})
+	if len(f.unplanned) == 0 {
+		f.assemble()
 		return
 	}
-	job = &chunkFetchJob{waiters: []chunkWaiter{{onDone: onDone, onErr: onErr}}}
-	d.fetching[name] = job
+	f.attempts = make(map[uint64]int, len(f.unplanned))
+	overall := d.downloadDeadline(f.repo, f.name, f.fanOut)
+	f.deadline = d.net.Kernel().After(overall, func() {
+		f.settle(nil, fmt.Errorf("soda: chunked fetch of %q timed out after %v: %w", f.name, overall, image.ErrTransient))
+	})
+	f.plan()
+}
 
-	k := d.net.Kernel()
-	finish := func(img *image.Image, err error) {
-		if job.settled {
+// plan sends the next batch of unplanned chunks to the tracker, unless
+// a plan RPC is already in flight or the fetch has settled.
+func (f *chunkFetch) plan() {
+	if f.settled || f.planInFlight || len(f.unplanned) == 0 {
+		return
+	}
+	ids := f.unplanned[:min(len(f.unplanned), chunkBatchSize)]
+	f.unplanned = f.unplanned[len(ids):]
+	f.planInFlight = true
+	d := f.d
+	var plan []chunkPlanEntry
+	err := d.net.RPC(d.HostIP, d.coord.IP,
+		planReqBase+planReqPerChunk*int64(len(ids)),
+		planRespBase+planRespPerChunk*int64(len(ids)),
+		func() { plan = d.coord.planChunks(d.coordIdx, ids) },
+		func() { f.planned(plan) })
+	if err != nil {
+		f.planInFlight = false
+		f.settle(nil, err)
+	}
+}
+
+// planned takes the tracker's answer: an attempt per sourced chunk, the
+// deferred ones re-queued after chunkReplanDelay, and the next batch.
+func (f *chunkFetch) planned(plan []chunkPlanEntry) {
+	f.planInFlight = false
+	if f.settled {
+		return
+	}
+	for _, e := range plan {
+		if e.Src == SrcDefer {
+			f.deferred = append(f.deferred, e.ID)
+			continue
+		}
+		f.launch(e)
+	}
+	if len(f.deferred) > 0 {
+		f.replanTimer.Cancel()
+		f.replanTimer = f.d.net.Kernel().After(chunkReplanDelay, func() {
+			f.unplanned = append(f.unplanned, f.deferred...)
+			f.deferred = f.deferred[:0]
+			f.plan()
+		})
+	}
+	f.plan()
+}
+
+// launch runs one chunk attempt against its planned source — the
+// repository, or a peer's serve path, which NACKs a store miss — within
+// the daemon's per-source concurrency cap, under chunkAttemptTimeout: a
+// silent source (crashed peer, stalled origin) is abandoned at the
+// deadline. An attempt that gets its slot after the fetch settled is
+// dropped.
+func (f *chunkFetch) launch(e chunkPlanEntry) {
+	d := f.d
+	f.outstanding++
+	src := e.IP
+	if e.Src == SrcOrigin {
+		src = f.repo.IP
+	}
+	csp := f.span.StartChild("chunk.fetch",
+		telemetry.L("chunk", fmt.Sprintf("%016x", e.ID)),
+		telemetry.L("source", string(src)))
+	d.fetchSet.Fetch(src, func(done func()) {
+		if f.settled {
+			done()
+			csp.EndSpan()
 			return
 		}
-		job.settled = true
-		delete(d.fetching, name)
-		for _, w := range job.waiters {
-			if err != nil {
-				if w.onErr != nil {
-					w.onErr(err)
-				}
-			} else if w.onDone != nil {
-				w.onDone(img)
+		firstOutcome(d.net.Kernel(), chunkAttemptTimeout, func(ok func(chunkDelivery), fail func(error)) {
+			deliver := func(sum uint64, payload int64) { ok(chunkDelivery{sum: sum, payload: payload}) }
+			if e.Src == SrcOrigin {
+				f.repo.ServeChunk(f.name, e.ID, d.HostIP, deliver, fail)
+				return
 			}
+			peer := d.coord.daemons[e.Src]
+			if err := d.net.Transfer(d.HostIP, peer.HostIP, image.ChunkRequestBytes(), func() {
+				peer.serveChunk(e.ID, d.HostIP, deliver, func() { fail(errors.New("peer miss")) })
+			}); err != nil {
+				fail(err)
+			}
+		}, func(c chunkDelivery) {
+			done()
+			csp.EndSpan()
+			f.delivered(e, src, c)
+		}, func(err error) {
+			done()
+			csp.Fail(err)
+			f.failed(e, src, err.Error())
+		}, func() {
+			done()
+			csp.Fail(errors.New("chunk attempt timed out"))
+			f.failed(e, src, "timeout")
+		})
+	})
+}
+
+// delivered takes a chunk attempt's delivery. A corrupt one re-queues
+// only that chunk; a good one is stored and announced, and the image is
+// assembled once nothing is left to fetch.
+func (f *chunkFetch) delivered(e chunkPlanEntry, src simnet.IP, c chunkDelivery) {
+	if f.settled {
+		return
+	}
+	f.outstanding--
+	d := f.d
+	if want := f.m.ChunkByID(e.ID); c.sum != e.ID || want == nil || c.payload != want.Bytes {
+		d.chunkRefetchCtr.Inc()
+		d.flog.Warn("chunk checksum mismatch",
+			telemetry.L("image", f.name),
+			telemetry.L("chunk", fmt.Sprintf("%016x", e.ID)),
+			telemetry.L("source", string(src)))
+		if f.attempts[e.ID]++; f.attempts[e.ID] >= chunkMaxAttempts {
+			f.settle(nil, fmt.Errorf("soda: chunk %016x of %q corrupt after %d attempts: %w",
+				e.ID, f.name, f.attempts[e.ID], image.ErrTransient))
+			return
+		}
+		f.unplanned = append(f.unplanned, e.ID)
+		f.plan()
+		return
+	}
+	d.store.storeChunk(e.ID, c.payload)
+	if e.Src == SrcOrigin {
+		d.chunkOriginCtr.Inc()
+		d.bytesOriginCtr.Add(c.payload)
+		f.fromOrigin++
+	} else {
+		d.chunkPeerCtr.Inc()
+		d.bytesPeerCtr.Add(c.payload)
+		f.fromPeers++
+	}
+	d.announce(f.name, len(f.m.Chunks), e.ID, false)
+	if f.outstanding == 0 && len(f.unplanned) == 0 && len(f.deferred) == 0 && !f.planInFlight && d.storeHasAll(f.m) {
+		f.assemble()
+		return
+	}
+	f.plan()
+}
+
+// failed takes a chunk attempt that failed or timed out. A chunk out of
+// attempts fails the fetch. A dead or unreachable peer's chunk falls
+// back to the repository at once instead of risking the tracker
+// re-assigning the same peer (the stale assignment clears when the
+// chunk is announced, or by TTL); an origin failure re-plans.
+func (f *chunkFetch) failed(e chunkPlanEntry, src simnet.IP, why string) {
+	if f.settled {
+		return
+	}
+	f.outstanding--
+	f.attempts[e.ID]++
+	f.d.flog.Warn("chunk fetch failed",
+		telemetry.L("image", f.name),
+		telemetry.L("chunk", fmt.Sprintf("%016x", e.ID)),
+		telemetry.L("source", string(src)),
+		telemetry.L("why", why))
+	if f.attempts[e.ID] >= chunkMaxAttempts {
+		f.settle(nil, fmt.Errorf("soda: chunk %016x of %q failed %d attempts (%s): %w",
+			e.ID, f.name, f.attempts[e.ID], why, image.ErrTransient))
+		return
+	}
+	if e.Src != SrcOrigin {
+		f.launch(chunkPlanEntry{ID: e.ID, Src: SrcOrigin})
+		return
+	}
+	f.unplanned = append(f.unplanned, e.ID)
+	f.plan()
+}
+
+// assemble builds the image once every chunk of the manifest is in the
+// store, verifies it, and pins it like the whole-image cache did; disk
+// exhaustion skips the pin but is not a priming failure.
+func (f *chunkFetch) assemble() {
+	img := f.m.Materialize()
+	if img == nil {
+		f.settle(nil, fmt.Errorf("soda: manifest of %q cannot materialize: %w", f.name, image.ErrTransient))
+		return
+	}
+	if !img.Verify() {
+		f.settle(nil, fmt.Errorf("soda: assembled image %q failed checksum: %w", f.name, image.ErrTransient))
+		return
+	}
+	d := f.d
+	if sizeMB := img.SizeMB(); d.host.UseDisk(sizeMB) == nil {
+		d.store.images[f.name] = &storedImage{img: img, manifest: f.m, diskMB: sizeMB}
+	}
+	d.announce(f.name, len(f.m.Chunks), f.m.Chunks[len(f.m.Chunks)-1].ID, true)
+	f.settle(img, nil)
+}
+
+// settle ends the fetch with the image or an error: it stops the
+// fetch's timers, closes its span and answers every waiter. Attempts
+// still in flight are dropped when they report.
+func (f *chunkFetch) settle(img *image.Image, err error) {
+	f.settled = true
+	f.replanTimer.Cancel()
+	f.deadline.Cancel()
+	if err != nil {
+		f.span.Fail(err)
+	} else {
+		f.span.Annotate("hit", fmt.Sprint(f.hits))
+		f.span.Annotate("peer", fmt.Sprint(f.fromPeers))
+		f.span.Annotate("origin", fmt.Sprint(f.fromOrigin))
+		f.span.EndSpan()
+	}
+	delete(f.d.fetching, f.name)
+	for i, onDone := range f.onDone {
+		if err != nil {
+			f.onErr[i](err)
+		} else {
+			onDone(img)
 		}
 	}
-
-	// The manifest is tiny, so its attempts get a short deadline.
-	fetchWithRetry(d, "manifest fetch", name, 10*sim.Second, func(ok func(*image.Manifest), fail func(error)) {
-		repo.FetchManifest(name, d.HostIP, ok, fail)
-	}, func(m *image.Manifest) {
-		if job.settled {
-			return
-		}
-		sp := parent.StartChild("image.fetch",
-			telemetry.L("image", name),
-			telemetry.L("chunks", fmt.Sprint(len(m.Chunks))))
-
-		// Classify: held chunks are hits (the delta-prime payoff);
-		// the rest queue for planning in a per-host deterministic
-		// permutation so concurrent requesters spread across the chunk
-		// space instead of stampeding the same prefix.
-		salt := mix64(fnvNameSalt(d.host.Spec.Name))
-		var needed []uint64
-		var hitChunks int
-		for i := range m.Chunks {
-			c := &m.Chunks[i]
-			if d.store.holdsChunk(c.ID) {
-				hitChunks++
-				continue
-			}
-			needed = append(needed, c.ID)
-		}
-		d.ChunksHit += hitChunks
-		d.chunkHitCtr.Add(int64(hitChunks))
-		sort.Slice(needed, func(i, j int) bool {
-			return mix64(needed[i]^salt) < mix64(needed[j]^salt)
-		})
-
-		var (
-			unplanned    = needed
-			planInFlight bool
-			outstanding  int
-			deferred     []uint64
-			attempts     = make(map[uint64]int, len(needed))
-			peerGot      int
-			originGot    int
-			replanTimer  sim.Timer
-			deadline     sim.Timer
-			maybePlan    func()
-		)
-
-		settleJob := func(img *image.Image, err error) {
-			replanTimer.Cancel()
-			deadline.Cancel()
-			if err != nil {
-				sp.Fail(err)
-			} else {
-				sp.Annotate("hit", fmt.Sprint(hitChunks))
-				sp.Annotate("peer", fmt.Sprint(peerGot))
-				sp.Annotate("origin", fmt.Sprint(originGot))
-				sp.EndSpan()
-			}
-			finish(img, err)
-		}
-
-		complete := func() {
-			// Assemble: every chunk of the manifest is in the store.
-			img := m.Materialize()
-			if img == nil {
-				settleJob(nil, fmt.Errorf("soda: manifest of %q cannot materialize: %w", name, image.ErrTransient))
-				return
-			}
-			if !img.Verify() {
-				settleJob(nil, fmt.Errorf("soda: assembled image %q failed checksum: %w", name, image.ErrTransient))
-				return
-			}
-			// Pin the assembled master like the legacy cache did; disk
-			// exhaustion skips the pin but is not a priming failure.
-			if _, already := d.store.images[name]; !already {
-				sizeMB := img.SizeMB()
-				if err := d.host.UseDisk(sizeMB); err == nil {
-					d.store.images[name] = &storedImage{img: img, manifest: m, diskMB: sizeMB}
-				}
-			}
-			d.announce(name, len(m.Chunks), m.Chunks[len(m.Chunks)-1].ID, true)
-			settleJob(img, nil)
-		}
-
-		if len(needed) == 0 {
-			complete()
-			return
-		}
-
-		// Overall deadline: the whole-image attempt deadline, sized for
-		// the fan-out's repository-link contention.
-		overall := d.downloadDeadline(repo, name, fanOut)
-		deadline = k.After(overall, func() {
-			if job.settled {
-				return
-			}
-			settleJob(nil, fmt.Errorf("soda: chunked fetch of %q timed out after %v: %w", name, overall, image.ErrTransient))
-		})
-
-		chunkDone := func(id uint64, from int, ip simnet.IP, sum uint64, payload int64) {
-			if job.settled {
-				return
-			}
-			outstanding--
-			c := m.ChunkByID(id)
-			if sum != id || c == nil || payload != c.Bytes {
-				// Corrupt delivery: re-fetch only this chunk.
-				d.ChunkRefetches++
-				d.chunkRefetchCtr.Inc()
-				d.flog.Warn("chunk checksum mismatch",
-					telemetry.L("image", name),
-					telemetry.L("chunk", fmt.Sprintf("%016x", id)),
-					telemetry.L("source", string(ip)))
-				attempts[id]++
-				if attempts[id] >= chunkMaxAttempts {
-					settleJob(nil, fmt.Errorf("soda: chunk %016x of %q corrupt after %d attempts: %w",
-						id, name, attempts[id], image.ErrTransient))
-					return
-				}
-				unplanned = append(unplanned, id)
-				maybePlan()
-				return
-			}
-			d.store.storeChunk(id, payload)
-			if from == SrcOrigin {
-				d.ChunksOrigin++
-				d.chunkOriginCtr.Inc()
-				d.BytesFromOrigin += payload
-				d.bytesOriginCtr.Add(payload)
-				originGot++
-			} else {
-				d.ChunksPeer++
-				d.chunkPeerCtr.Inc()
-				d.BytesFromPeers += payload
-				d.bytesPeerCtr.Add(payload)
-				peerGot++
-			}
-			d.announce(name, len(m.Chunks), id, false)
-			if outstanding == 0 && len(unplanned) == 0 && len(deferred) == 0 && !planInFlight {
-				if d.storeHasAll(m) {
-					complete()
-					return
-				}
-			}
-			maybePlan()
-		}
-
-		var launch func(e chunkPlanEntry)
-
-		chunkFailed := func(id uint64, from int, why string, ip simnet.IP) {
-			if job.settled {
-				return
-			}
-			outstanding--
-			attempts[id]++
-			d.flog.Warn("chunk fetch failed",
-				telemetry.L("image", name),
-				telemetry.L("chunk", fmt.Sprintf("%016x", id)),
-				telemetry.L("source", string(ip)),
-				telemetry.L("why", why))
-			if attempts[id] >= chunkMaxAttempts {
-				settleJob(nil, fmt.Errorf("soda: chunk %016x of %q failed %d attempts (%s): %w",
-					id, name, attempts[id], why, image.ErrTransient))
-				return
-			}
-			if from != SrcOrigin {
-				// A dead or unreachable peer: fall back to the repository
-				// for this one chunk instead of risking the tracker
-				// re-assigning the same peer. The stale assignment clears
-				// when the chunk is announced (or by TTL).
-				launch(chunkPlanEntry{ID: id, Src: SrcOrigin})
-				return
-			}
-			unplanned = append(unplanned, id)
-			maybePlan()
-		}
-
-		launch = func(e chunkPlanEntry) {
-			outstanding++
-			srcIP := e.IP
-			if e.Src == SrcOrigin {
-				srcIP = repo.IP
-			}
-			csp := sp.StartChild("chunk.fetch",
-				telemetry.L("chunk", fmt.Sprintf("%016x", e.ID)),
-				telemetry.L("source", string(srcIP)))
-			d.fetchSet.Fetch(srcIP, func(done func()) {
-				if job.settled {
-					done()
-					csp.EndSpan()
-					return
-				}
-				settled := false
-				var timer sim.Timer
-				settle := func() bool {
-					if settled {
-						return false
-					}
-					settled = true
-					timer.Cancel()
-					done()
-					return true
-				}
-				timer = k.After(chunkAttemptTimeout, func() {
-					if !settled {
-						settled = true
-						done()
-						csp.Fail(fmt.Errorf("chunk attempt timed out"))
-						chunkFailed(e.ID, e.Src, "timeout", srcIP)
-					}
-				})
-				deliver := func(sum uint64, payload int64) {
-					if !settle() {
-						return
-					}
-					csp.EndSpan()
-					chunkDone(e.ID, e.Src, srcIP, sum, payload)
-				}
-				nack := func(why string) func() {
-					return func() {
-						if !settle() {
-							return
-						}
-						csp.Fail(fmt.Errorf("%s", why))
-						chunkFailed(e.ID, e.Src, why, srcIP)
-					}
-				}
-				if e.Src == SrcOrigin {
-					repo.ServeChunk(name, e.ID, d.HostIP, deliver, func(err error) { nack(err.Error())() })
-					return
-				}
-				peer := d.coord.daemons[e.Src]
-				err := d.net.Transfer(d.HostIP, peer.HostIP, image.ChunkRequestBytes(), func() {
-					peer.serveChunk(e.ID, d.HostIP, deliver, nack("peer miss"))
-				})
-				if err != nil {
-					nack(err.Error())()
-				}
-			})
-		}
-
-		scheduleReplan := func() {
-			if len(deferred) == 0 {
-				return
-			}
-			replanTimer.Cancel()
-			replanTimer = k.After(chunkReplanDelay, func() {
-				if job.settled {
-					return
-				}
-				unplanned = append(unplanned, deferred...)
-				deferred = deferred[:0]
-				maybePlan()
-			})
-		}
-
-		maybePlan = func() {
-			if job.settled || planInFlight || len(unplanned) == 0 {
-				return
-			}
-			batch := unplanned
-			if len(batch) > chunkBatchSize {
-				batch = batch[:chunkBatchSize]
-			}
-			rest := unplanned[len(batch):]
-			ids := append([]uint64(nil), batch...)
-			unplanned = append([]uint64(nil), rest...)
-			planInFlight = true
-			var plan []chunkPlanEntry
-			err := d.net.RPC(d.HostIP, d.coord.IP,
-				planReqBase+planReqPerChunk*int64(len(ids)),
-				planRespBase+planRespPerChunk*int64(len(ids)),
-				func() {
-					plan = d.coord.planChunks(d.coordIdx, ids)
-				},
-				func() {
-					planInFlight = false
-					if job.settled {
-						return
-					}
-					for _, e := range plan {
-						if e.Src == SrcDefer {
-							deferred = append(deferred, e.ID)
-							continue
-						}
-						launch(e)
-					}
-					scheduleReplan()
-					maybePlan()
-				})
-			if err != nil {
-				planInFlight = false
-				settleJob(nil, err)
-			}
-		}
-		maybePlan()
-	}, func(err error) {
-		finish(nil, err)
-	})
 }
 
 // storeHasAll reports whether every chunk of the manifest is held.

@@ -101,28 +101,15 @@ type Daemon struct {
 	fetchSet *simnet.FetchSet
 	// fetching dedups concurrent chunked fetches of the same image on
 	// this daemon: one engine run, many waiters.
-	fetching map[string]*chunkFetchJob
-
-	// Primed counts nodes successfully bootstrapped; TornDown counts
-	// nodes removed. CacheHits counts downloads avoided by the cache.
-	// DownloadRetries counts image-download attempts re-issued after a
-	// transient failure (reset connection, checksum mismatch, timeout).
-	Primed, TornDown, CacheHits, DownloadRetries int
-
-	// Chunk-distribution accounting: chunks already held locally (hits),
-	// fetched from peers vs. the repository, served to peers, and
-	// re-fetched after a per-chunk checksum mismatch; byte odometers
-	// split priming traffic by source.
-	ChunksHit, ChunksPeer, ChunksOrigin, ChunksServed, ChunkRefetches int
-	BytesFromPeers, BytesFromOrigin                                   int64
+	fetching map[string]*chunkFetch
 
 	// flog carries the daemon's structured diagnostics into the flight
 	// recorder; nil (no-op) until SetFlightLogger.
 	flog *flight.Logger
 
-	// Telemetry instruments, labeled by host. The counters mirror the
-	// exported fields above; the stage histograms collect only once
-	// Instrument connects a registry.
+	// Telemetry instruments, labeled by host. The counters are the
+	// daemon's statistics, read through the methods below; the stage
+	// histograms collect only once Instrument connects a registry.
 	reg              *telemetry.Registry
 	primedCtr        *telemetry.Counter
 	tornDownCtr      *telemetry.Counter
@@ -255,6 +242,15 @@ func (d *Daemon) Instrument(reg *telemetry.Registry) {
 	d.bootHist = reg.Histogram("soda_prime_boot_seconds", nil, host)
 }
 
+// CacheHits counts image fetches served by an image already pinned in
+// the chunk store.
+func (d *Daemon) CacheHits() int { return int(d.cacheHitCtr.Value()) }
+
+// DownloadRetries counts image-download and manifest-fetch attempts
+// re-issued after a transient failure (reset connection, checksum
+// mismatch, timeout).
+func (d *Daemon) DownloadRetries() int { return int(d.downloadRetryCtr.Value()) }
+
 // SetFlightLogger routes the daemon's structured diagnostics into the
 // flight recorder, stamped with the host name. Nil restores the no-op
 // default.
@@ -293,16 +289,15 @@ func (d *Daemon) DropImageCache() {
 // fetchImage delivers the named image, the published one shared by every
 // node primed from it. With chunk distribution on, that is a local read
 // when the store holds it assembled, else a tracker-planned multi-source
-// chunk fetch; otherwise it is the paper's whole-image HTTP download
+// chunk fetch (joining the daemon's running fetch of the image, if any);
+// otherwise it is the paper's whole-image HTTP download
 // (§4.3). fanOut is how many sibling primes were fanned out with this one
 // — it pre-sizes download deadlines for repository-link contention.
 // parent is the prime's image.download span.
 func (d *Daemon) fetchImage(repo *image.Repository, name string, fanOut int, parent *telemetry.Span, onDone func(*image.Image), onErr func(error)) {
 	if d.store != nil {
 		if si, hit := d.store.images[name]; hit {
-			d.CacheHits++
 			d.cacheHitCtr.Inc()
-			d.ChunksHit += len(si.manifest.Chunks)
 			d.chunkHitCtr.Add(int64(len(si.manifest.Chunks)))
 			// Reading the cached master costs a local disk read, not a
 			// network transfer.
@@ -313,7 +308,15 @@ func (d *Daemon) fetchImage(repo *image.Repository, name string, fanOut int, par
 			})
 			return
 		}
-		d.fetchChunked(repo, name, fanOut, parent, onDone, onErr)
+		if f, running := d.fetching[name]; running {
+			f.onDone = append(f.onDone, onDone)
+			f.onErr = append(f.onErr, onErr)
+			return
+		}
+		f := &chunkFetch{d: d, repo: repo, name: name, fanOut: fanOut, parent: parent,
+			onDone: []func(*image.Image){onDone}, onErr: []func(error){onErr}}
+		d.fetching[name] = f
+		f.fetchManifest()
 		return
 	}
 	d.downloadWithRetry(repo, name, fanOut, onDone, onErr)
@@ -354,34 +357,21 @@ func (d *Daemon) downloadDeadline(repo *image.Repository, name string, fanOut in
 }
 
 // fetchWithRetry runs a fetch of the named image (what: "download",
-// "manifest fetch") for up to downloadAttempts attempts, each under a
-// timeout deadline. A transient failure or a missed deadline retries
-// after a backoff of downloadBackoff, doubling per retry up to
-// downloadMaxBackoff and jittered by ±downloadJitterFrac so concurrent
-// retries don't synchronise; any other failure is final. An attempt
-// reports through ok or fail; whatever arrives after its first outcome
-// (or its deadline) is discarded.
+// "manifest fetch") for up to downloadAttempts attempts, each one a
+// firstOutcome under a timeout deadline. A transient failure or a
+// missed deadline retries after a backoff of downloadBackoff, doubling
+// per retry up to downloadMaxBackoff and jittered by ±downloadJitterFrac
+// so concurrent retries don't synchronise; any other failure is final.
 func fetchWithRetry[T any](d *Daemon, what, name string, timeout sim.Duration,
 	attempt func(ok func(T), fail func(error)), onDone func(T), onErr func(error)) {
 	k := d.net.Kernel()
 	var try func(n int)
 	try = func(n int) {
-		settled := false
-		var deadline sim.Timer
-		settle := func() bool {
-			if settled {
-				return false
-			}
-			settled = true
-			deadline.Cancel()
-			return true
-		}
 		retryOrFail := func(err error) {
 			if !errors.Is(err, image.ErrTransient) || n >= downloadAttempts {
 				onErr(err)
 				return
 			}
-			d.DownloadRetries++
 			d.downloadRetryCtr.Inc()
 			d.flog.Warn("image "+what+" retry",
 				telemetry.L("image", name),
@@ -398,23 +388,45 @@ func fetchWithRetry[T any](d *Daemon, what, name string, timeout sim.Duration,
 			backoff = d.rng.JitterDuration(backoff, downloadJitterFrac)
 			k.After(backoff, func() { try(n + 1) })
 		}
-		deadline = k.After(timeout, func() {
-			if settle() {
-				retryOrFail(fmt.Errorf("soda: %s of %q timed out after %v: %w",
-					what, name, timeout, image.ErrTransient))
-			}
-		})
-		attempt(func(v T) {
-			if settle() {
-				onDone(v)
-			}
-		}, func(err error) {
-			if settle() {
-				retryOrFail(err)
-			}
+		firstOutcome(k, timeout, attempt, onDone, retryOrFail, func() {
+			retryOrFail(fmt.Errorf("soda: %s of %q timed out after %v: %w",
+				what, name, timeout, image.ErrTransient))
 		})
 	}
 	try(1)
+}
+
+// firstOutcome runs one attempt under a deadline, the rule both image
+// fetch paths follow: a whole-image or manifest try, and a chunk
+// attempt. start begins the attempt and reports through its ok or fail
+// argument; the first of ok (onOK), fail (onFail) and the deadline
+// (onTimeout) wins, and whatever arrives after it is dropped.
+func firstOutcome[T any](k *sim.Kernel, timeout sim.Duration, start func(ok func(T), fail func(error)),
+	onOK func(T), onFail func(error), onTimeout func()) {
+	settled := false
+	var deadline sim.Timer
+	claim := func() bool {
+		if settled {
+			return false
+		}
+		settled = true
+		deadline.Cancel()
+		return true
+	}
+	deadline = k.After(timeout, func() {
+		if claim() {
+			onTimeout()
+		}
+	})
+	start(func(v T) {
+		if claim() {
+			onOK(v)
+		}
+	}, func(err error) {
+		if claim() {
+			onFail(err)
+		}
+	})
 }
 
 // Host returns the daemon's HUP host.
@@ -623,7 +635,6 @@ func (d *Daemon) Prime(req PrimeRequest, onDone func(NodeInfo), onErr func(error
 				PressureFactor: report.PressureFactor,
 			}
 			d.nodes[req.NodeName] = &nodeRuntime{info: info, service: req.ServiceName, reservation: reservation, diskMB: sizeMB, proxied: proxied}
-			d.Primed++
 			d.primedCtr.Inc()
 			d.liveNodes.Set(float64(len(d.nodes)))
 			d.flog.WithTrace(req.Span.TraceID()).Info("node primed",
@@ -677,7 +688,6 @@ func (d *Daemon) Teardown(epoch uint64, nodeName string) error {
 		d.pool.Release(rt.info.IP)
 	}
 	rt.reservation.Release()
-	d.TornDown++
 	d.tornDownCtr.Inc()
 	d.liveNodes.Set(float64(len(d.nodes)))
 	d.flog.Debug("node torn down", telemetry.L("node", nodeName))
@@ -903,7 +913,6 @@ func (d *Daemon) Restore() {
 			d.pool.Release(rt.info.IP)
 		}
 		rt.reservation.Release()
-		d.TornDown++
 		d.tornDownCtr.Inc()
 	}
 	d.liveNodes.Set(float64(len(d.nodes)))

@@ -153,7 +153,7 @@ func TestLonePrimeOfLargeImageOutlastsFloorDeadline(t *testing.T) {
 	if d := svc.Nodes[0].DownloadTime; d <= 120*sim.Second {
 		t.Fatalf("download took %v; the fixture must outlast the 120 s floor", d)
 	}
-	if r := tb.Daemons[0].DownloadRetries; r != 0 {
+	if r := tb.Daemons[0].DownloadRetries(); r != 0 {
 		t.Fatalf("%d download retries, want none", r)
 	}
 }
@@ -345,8 +345,8 @@ func TestImageCacheSkipsRepeatDownloads(t *testing.T) {
 			first.Nodes[0].HostName, second.Nodes[0].HostName)
 	}
 	d := tb.Daemons[0]
-	if d.CacheHits != 1 || d.CachedImages() != 1 {
-		t.Fatalf("cache hits=%d images=%d", d.CacheHits, d.CachedImages())
+	if d.CacheHits() != 1 || d.CachedImages() != 1 {
+		t.Fatalf("cache hits=%d images=%d", d.CacheHits(), d.CachedImages())
 	}
 	if second.Nodes[0].DownloadTime >= first.Nodes[0].DownloadTime/2 {
 		t.Fatalf("cached fetch %.2fs not much faster than download %.2fs",
@@ -407,7 +407,7 @@ func TestCorruptWholeImageDeliveryRetries(t *testing.T) {
 	retries := func(svc *soda.Service) int {
 		for _, d := range tb.Daemons {
 			if d.Host().Spec.Name == svc.Nodes[0].HostName {
-				return d.DownloadRetries
+				return d.DownloadRetries()
 			}
 		}
 		t.Fatalf("no daemon on %s", svc.Nodes[0].HostName)

@@ -328,7 +328,7 @@ func (c *Cluster) takeover() {
 		// A fresh tracker: the holder map is rebuilt purely from the
 		// daemons' resynchronization announces — and must come back
 		// identical to the journaled pre-crash occupancy.
-		nl.chunkDist = newChunkTracker(oldTracker.cfg)
+		nl.chunkDist = newChunkTracker()
 		nl.commit("chunk-reset", struct{}{})
 	}
 

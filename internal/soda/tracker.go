@@ -19,32 +19,10 @@ const (
 	SrcDefer = -2
 )
 
-// ChunkDistConfig tunes the Master's tracker role in cooperative image
-// distribution.
-type ChunkDistConfig struct {
-	// SourceCap bounds how many chunk transfers the tracker will aim at
-	// one peer daemon at a time (across all requesters).
-	SourceCap int
-	// OriginCap bounds concurrent chunk transfers from the repository —
-	// the budget mass priming is trying to stop monopolising.
-	OriginCap int
-	// AssignTTL expires an assignment whose requester never announced
-	// the chunk (it crashed or gave up), releasing the source's slot.
-	AssignTTL sim.Duration
-}
-
-func (c ChunkDistConfig) withDefaults() ChunkDistConfig {
-	if c.SourceCap <= 0 {
-		c.SourceCap = 4
-	}
-	if c.OriginCap <= 0 {
-		c.OriginCap = 8
-	}
-	if c.AssignTTL <= 0 {
-		c.AssignTTL = 60 * sim.Second
-	}
-	return c
-}
+// ChunkDistConfig configures the Master's tracker role in cooperative
+// image distribution. It has no settings: the tracker's tuning is the
+// chunkSourceCap, chunkOriginCap and chunkAssignTTL constants.
+type ChunkDistConfig struct{}
 
 // chunkPlanEntry is one line of a source plan: fetch chunk ID from Src
 // (daemon index, SrcOrigin, or SrcDefer). IP is the source host address
@@ -71,8 +49,6 @@ type assignment struct {
 // flight, and how loaded each source is. The per-image holder occupancy
 // is committed state (masterState.Holders).
 type chunkTracker struct {
-	cfg ChunkDistConfig
-
 	// holders maps chunk ID → sorted daemon indexes that hold it.
 	holders map[uint64][]int
 	// assigned tracks handed-out plan entries until the requester
@@ -89,9 +65,8 @@ type chunkTracker struct {
 	rr map[uint64]int
 }
 
-func newChunkTracker(cfg ChunkDistConfig) *chunkTracker {
+func newChunkTracker() *chunkTracker {
 	return &chunkTracker{
-		cfg:            cfg.withDefaults(),
 		holders:        make(map[uint64][]int),
 		assigned:       make(map[assignKey]assignment),
 		outstanding:    make(map[int]int),
@@ -103,17 +78,17 @@ func newChunkTracker(cfg ChunkDistConfig) *chunkTracker {
 // EnableChunkDistribution turns the Master into the tracker of a
 // cooperative, content-addressed image distribution mesh: every daemon
 // gains a chunk store and a serve path, and primes become multi-source
-// chunk fetches planned by the Master. A zero config takes the
-// defaults. Attach once, before the first service.
-func (m *Master) EnableChunkDistribution(cfg ChunkDistConfig) {
+// chunk fetches planned by the Master. Attach once, before the first
+// service.
+func (m *Master) EnableChunkDistribution(ChunkDistConfig) {
 	m.mustAttach("EnableChunkDistribution", m.chunkDist != nil)
-	m.chunkDist = newChunkTracker(cfg)
+	m.chunkDist = newChunkTracker()
 	for i, d := range m.daemons {
 		d.attachChunkCoordinator(m, i)
 	}
 	m.flog.Info("chunk distribution enabled",
-		telemetry.L("source_cap", itoa(m.chunkDist.cfg.SourceCap)),
-		telemetry.L("origin_cap", itoa(m.chunkDist.cfg.OriginCap)))
+		telemetry.L("source_cap", itoa(chunkSourceCap)),
+		telemetry.L("origin_cap", itoa(chunkOriginCap)))
 }
 
 // ChunkDistributionEnabled reports whether the Master is acting as a
@@ -187,7 +162,7 @@ func (m *Master) planChunks(requester int, ids []uint64) []chunkPlanEntry {
 			for range candidates {
 				pick := candidates[t.rr[id]%len(candidates)]
 				t.rr[id]++
-				if t.outstanding[pick] < t.cfg.SourceCap {
+				if t.outstanding[pick] < chunkSourceCap {
 					src = pick
 					ip = m.daemons[pick].HostIP
 					break
@@ -195,11 +170,11 @@ func (m *Master) planChunks(requester int, ids []uint64) []chunkPlanEntry {
 			}
 			// All holders saturated → SrcDefer: load spreads better by
 			// waiting a beat than by stampeding the origin.
-		} else if t.originInFlight[id] == 0 && t.outstanding[SrcOrigin] < t.cfg.OriginCap {
+		} else if t.originInFlight[id] == 0 && t.outstanding[SrcOrigin] < chunkOriginCap {
 			src = SrcOrigin
 		}
 		if src != SrcDefer {
-			t.assigned[assignKey{id: id, requester: requester}] = assignment{src: src, expires: now.Add(t.cfg.AssignTTL)}
+			t.assigned[assignKey{id: id, requester: requester}] = assignment{src: src, expires: now.Add(chunkAssignTTL)}
 			t.outstanding[src]++
 			if src == SrcOrigin {
 				t.originInFlight[id]++

@@ -12,6 +12,7 @@ package uml
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cycles"
@@ -79,39 +80,36 @@ func (c *Catalog) Len() int { return len(c.services) }
 // fails on unknown services and on dependency cycles — both are packaging
 // errors the SODA Daemon must surface to the ASP.
 func (c *Catalog) Closure(requested []string) ([]*SystemService, error) {
-	const (
-		white = iota // unvisited
-		grey         // on stack
-		black        // done
-	)
-	state := make(map[string]int)
+	done := make(map[string]bool)
 	var order []*SystemService
-	var visit func(name string, chain []string) error
-	visit = func(name string, chain []string) error {
-		switch state[name] {
-		case black:
+	var stack []string // the path to the service being visited
+	var visit func(name string) error
+	visit = func(name string) error {
+		if done[name] {
 			return nil
-		case grey:
-			return fmt.Errorf("uml: dependency cycle: %v -> %s", chain, name)
+		}
+		if slices.Contains(stack, name) {
+			return fmt.Errorf("uml: dependency cycle: %v -> %s", stack, name)
 		}
 		s := c.services[name]
 		if s == nil {
-			return fmt.Errorf("uml: unknown system service %q (requested via %v)", name, chain)
+			return fmt.Errorf("uml: unknown system service %q (requested via %v)", name, stack)
 		}
-		state[name] = grey
+		stack = append(stack, name)
 		for _, d := range s.Deps {
-			if err := visit(d, append(chain, name)); err != nil {
+			if err := visit(d); err != nil {
 				return err
 			}
 		}
-		state[name] = black
+		stack = stack[:len(stack)-1]
+		done[name] = true
 		order = append(order, s)
 		return nil
 	}
 	req := append([]string(nil), requested...)
 	sort.Strings(req)
 	for _, name := range req {
-		if err := visit(name, nil); err != nil {
+		if err := visit(name); err != nil {
 			return nil, err
 		}
 	}

@@ -96,6 +96,37 @@ func TestCatalogClosureDetectsCycles(t *testing.T) {
 	}
 }
 
+// The errors name the dependency path that led to the bad service: the
+// requested service first, and no sibling visited before it.
+func TestCatalogClosureErrorText(t *testing.T) {
+	c := newCatalog()
+	for _, s := range []SystemService{
+		{Name: "root", Deps: []string{"alpha", "zeta"}},
+		{Name: "alpha", Deps: []string{"beta"}},
+		{Name: "beta"},
+		{Name: "zeta", Deps: []string{"mid"}},
+		{Name: "mid", Deps: []string{"zeta"}},
+		{Name: "orphan", Deps: []string{"alpha", "parent"}},
+		{Name: "parent", Deps: []string{"ghost"}},
+	} {
+		if err := c.register(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		requested []string
+		want      string
+	}{
+		{[]string{"root"}, "uml: dependency cycle: [root zeta mid] -> zeta"},
+		{[]string{"orphan"}, `uml: unknown system service "ghost" (requested via [orphan parent])`},
+		{[]string{"beta", "nope"}, `uml: unknown system service "nope" (requested via [])`},
+	} {
+		if _, err := c.Closure(tc.requested); err == nil || err.Error() != tc.want {
+			t.Errorf("Closure(%v) error = %v, want %q", tc.requested, err, tc.want)
+		}
+	}
+}
+
 func TestCatalogRegisterValidation(t *testing.T) {
 	c := newCatalog()
 	if err := c.register(SystemService{}); err == nil {
