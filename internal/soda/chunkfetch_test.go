@@ -496,3 +496,37 @@ func TestPeerMissFallsBackToOrigin(t *testing.T) {
 		t.Fatalf("prime took %v; a NACK must not wait out the attempt deadline", el)
 	}
 }
+
+// A failed fetch releases the tracker's assignments for the chunks it
+// gave up. Otherwise origin dedup would defer another daemon's fetch of
+// those chunks until the 60 s assignment TTL: daemon 1 primes the image
+// right after daemon 0's fetch failed on chunk resets, and must take
+// about as long as an undisturbed prime.
+func TestFailedFetchReleasesTrackerAssignments(t *testing.T) {
+	tb := replicaTestbed(t, 2, 92)
+	img := hup.HoneypotImage("img")
+	if err := tb.Publish(img); err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	tb.Repo.SetFaultHook(failOnChunks(image.FaultError, &calls))
+	failed := startPrime(tb, tb.Daemons[0], "a", img)
+	settlePrimes(t, tb, failed)
+	if !errors.Is(failed.err, image.ErrTransient) {
+		t.Fatalf("daemon 0's prime error = %v, want a transient chunk failure", failed.err)
+	}
+	tb.Repo.SetFaultHook(nil)
+	start := tb.K.Now()
+	r := startPrime(tb, tb.Daemons[1], "b", img)
+	settlePrimes(t, tb, r)
+	if r.err != nil {
+		t.Fatalf("daemon 1's prime: %v", r.err)
+	}
+	if el := r.at.Sub(start); el > 20*sim.Second {
+		t.Fatalf("daemon 1's prime took %v after daemon 0's fetch failed, want well under the 60 s assignment TTL", el)
+	}
+	man, _ := tb.Repo.ManifestFor(img.Name)
+	if got := tb.Daemons[1].ChunksOrigin(); got != len(man.Chunks) {
+		t.Fatalf("daemon 1 fetched %d chunks from the origin, want all %d", got, len(man.Chunks))
+	}
+}

@@ -195,6 +195,18 @@ func (m *Master) announceChunk(holder int, imageName string, total int, id uint6
 	m.trackerAnnounce(holder, imageName, total, id, full)
 }
 
+// releaseChunks drops a requester's assignments for chunks its failed
+// fetch gave up. Assignments are uncommitted planning state, so the
+// journal does not move.
+func (m *Master) releaseChunks(requester int, ids []uint64) {
+	if m.halted {
+		return // lost release; the assignments expire by TTL
+	}
+	for _, id := range ids {
+		m.chunkDist.clearAssignment(assignKey{id: id, requester: requester})
+	}
+}
+
 // trackerAnnounce indexes one held chunk and commits chunk-announce
 // when the holder is new to it (duplicate announces are no-ops on both
 // the index and the journal, keeping replay deterministic).
