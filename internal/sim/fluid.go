@@ -476,8 +476,8 @@ func (s *FluidServer) reschedule() {
 // arm points the next-completion event at t; MaxTime means none (every
 // class starved or effectively infinite). An event already pending at t
 // is kept: a change confined to one class leaves the others' completion
-// times as they were, and re-arming would only leave a cancelled event
-// behind in the kernel's queue.
+// times as they were, and keeping the event saves the kernel a cancel
+// and a reschedule, two heap fixes.
 func (s *FluidServer) arm(t Time) {
 	if s.next.Pending() && s.next.When() == t {
 		return
