@@ -77,8 +77,9 @@ type WatchConfig struct {
 type Accountant struct {
 	opt Options
 
-	// flog carries watch/unwatch/violation diagnostics into the flight
-	// recorder; nil (no-op) until SetLogger.
+	// flog carries watch/unwatch diagnostics into the flight recorder;
+	// nil (no-op) until SetLogger. Violations are not logged here: the
+	// OnViolation callbacks receive them, with their span's trace.
 	flog *flight.Logger
 
 	mu       sync.Mutex
@@ -218,12 +219,8 @@ func (a *Accountant) Evaluate() {
 			telemetry.L("dimension", v.Dimension))
 		sp.Annotate("burn_rate", fmt.Sprintf("%.2f", v.BurnRate))
 		sp.Annotate("detail", v.Detail)
-		a.flog.WithTrace(sp.TraceID()).Warn("slo violation",
-			telemetry.L("service", v.Service),
-			telemetry.L("window", v.Window),
-			telemetry.L("dimension", v.Dimension),
-			telemetry.L("burn_rate", fmt.Sprintf("%.2f", v.BurnRate)))
 		sp.EndSpan()
+		v.Trace = sp.TraceID()
 		for _, fn := range callbacks {
 			fn(v)
 		}

@@ -38,6 +38,9 @@ type Violation struct {
 	BurnRate float64  `json:"burn_rate"`
 	At       sim.Time `json:"at_ns"`
 	Detail   string   `json:"detail"`
+	// Trace is the ID of the violation's "slo.violation" span, set when
+	// the accountant fires it; 0 without a tracer.
+	Trace uint64 `json:"trace,omitempty"`
 }
 
 // evalSample is one evaluation tick's worth of request-level deltas.

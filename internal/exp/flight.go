@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -128,10 +129,33 @@ func flightRouteN(k *sim.Kernel, sw *svcswitch.Switch, n int) error {
 	return nil
 }
 
+// overheadTrials runs trials rounds of one bare and one instrumented
+// trial, interleaved so process warm-up (allocator, code cache) biases
+// neither variant. It returns each side's minimum ns/op (minimum, not
+// mean: scheduler noise only ever adds time) and the largest liveness
+// count an instrumented trial reported.
+func overheadTrials(trials int, trial func(instrumented bool) (float64, int64, error)) (bareNs, instNs float64, live int64, err error) {
+	bareNs, instNs = math.Inf(1), math.Inf(1)
+	for t := 0; t < trials; t++ {
+		for _, on := range []bool{false, true} {
+			ns, n, err := trial(on)
+			if err != nil {
+				return 0, 0, 0, err
+			}
+			if on {
+				instNs, live = min(instNs, ns), max(live, n)
+			} else {
+				bareNs = min(bareNs, ns)
+			}
+		}
+	}
+	return bareNs, instNs, live, nil
+}
+
 // flightTrial measures one timed pass of ops routed requests, with the
 // flight recorder attached or not. Returns ns/op and the ring
 // population after the run.
-func flightTrial(withFlight bool, ops int) (float64, uint64, error) {
+func flightTrial(withFlight bool, ops int) (float64, int64, error) {
 	k, sw, reg, err := flightBenchSwitch()
 	if err != nil {
 		return 0, 0, err
@@ -168,7 +192,7 @@ func flightTrial(withFlight bool, ops int) (float64, uint64, error) {
 		elapsed += time.Since(start)
 		rec.CaptureMetrics()
 	}
-	return float64(elapsed.Nanoseconds()) / float64(ops), rec.Seq(), nil
+	return float64(elapsed.Nanoseconds()) / float64(ops), int64(rec.Seq()), nil
 }
 
 // RunFlightOverhead measures the routing hot path bare vs
@@ -176,26 +200,11 @@ func flightTrial(withFlight bool, ops int) (float64, uint64, error) {
 func RunFlightOverhead() (*FlightOverheadResult, error) {
 	const ops, trials = 100_000, 5
 	res := &FlightOverheadResult{Ops: ops, Trials: trials}
-	// Interleave bare and flight trials so process warm-up (allocator,
-	// code cache) biases neither variant; take each side's minimum.
-	for t := 0; t < trials; t++ {
-		for _, withFlight := range []bool{false, true} {
-			ns, ring, err := flightTrial(withFlight, ops)
-			if err != nil {
-				return nil, err
-			}
-			if withFlight {
-				if res.FlightNs == 0 || ns < res.FlightNs {
-					res.FlightNs = ns
-				}
-				if ring > res.RingRecords {
-					res.RingRecords = ring
-				}
-			} else if res.BareNs == 0 || ns < res.BareNs {
-				res.BareNs = ns
-			}
-		}
+	bare, inst, ring, err := overheadTrials(trials, func(on bool) (float64, int64, error) { return flightTrial(on, ops) })
+	if err != nil {
+		return nil, err
 	}
+	res.BareNs, res.FlightNs, res.RingRecords = bare, inst, uint64(ring)
 	res.OverheadPct = (res.FlightNs - res.BareNs) / res.BareNs * 100
 
 	// Steady-state cost of one structured log record, for context.

@@ -94,25 +94,10 @@ func reqtraceRetentionPass(n int) (int, []byte, error) {
 func RunReqtraceOverhead() (*ReqtraceOverheadResult, error) {
 	const ops, trials = 100_000, 5
 	res := &ReqtraceOverheadResult{Ops: ops, Trials: trials}
-	// Interleave bare and traced trials so process warm-up (allocator,
-	// code cache) biases neither variant; take each side's minimum.
-	for t := 0; t < trials; t++ {
-		for _, withTracer := range []bool{false, true} {
-			ns, sampled, err := reqtraceTrial(withTracer, ops)
-			if err != nil {
-				return nil, err
-			}
-			if withTracer {
-				if res.TracedNs == 0 || ns < res.TracedNs {
-					res.TracedNs = ns
-				}
-				if sampled > res.Sampled {
-					res.Sampled = sampled
-				}
-			} else if res.BareNs == 0 || ns < res.BareNs {
-				res.BareNs = ns
-			}
-		}
+	var err error
+	res.BareNs, res.TracedNs, res.Sampled, err = overheadTrials(trials, func(on bool) (float64, int64, error) { return reqtraceTrial(on, ops) })
+	if err != nil {
+		return nil, err
 	}
 	res.OverheadPct = (res.TracedNs - res.BareNs) / res.BareNs * 100
 

@@ -3,9 +3,12 @@ package hup
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
+	"repro/internal/accounting"
 	"repro/internal/appsvc"
+	"repro/internal/autoscale"
 	"repro/internal/flight"
 	"repro/internal/sim"
 	"repro/internal/soda"
@@ -23,10 +26,10 @@ func flightDetector() soda.HealthConfig {
 }
 
 // runFlightCrashScenario runs one seeded host-crash run with the flight
-// recorder on and returns the recorder plus the marshalled sealed
-// incident bundles — the determinism test compares these byte-for-byte
-// across two runs.
-func runFlightCrashScenario(t *testing.T, seed uint64) (*flight.Recorder, []byte) {
+// recorder on and returns the recorder, the Master's events in order,
+// and the marshalled sealed incident bundles — the determinism test
+// compares these byte-for-byte across two runs.
+func runFlightCrashScenario(t *testing.T, seed uint64) (*flight.Recorder, []soda.Event, []byte) {
 	t.Helper()
 	tb, err := New(Config{Seed: seed})
 	if err != nil {
@@ -37,6 +40,8 @@ func runFlightCrashScenario(t *testing.T, seed uint64) (*flight.Recorder, []byte
 	}
 	tb.EnableSelfHealing(flightDetector())
 	rec, _ := tb.EnableFlightRecorder()
+	var events soda.EventRecorder
+	tb.Master.Observe(events.Record)
 
 	img := WebContentImage("img", 2)
 	if err := tb.Publish(img); err != nil {
@@ -69,7 +74,7 @@ func runFlightCrashScenario(t *testing.T, seed uint64) (*flight.Recorder, []byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rec, blob
+	return rec, events.Events(), blob
 }
 
 // TestFlightRecorderCapturesCrashIncident is the subsystem acceptance
@@ -78,7 +83,7 @@ func runFlightCrashScenario(t *testing.T, seed uint64) (*flight.Recorder, []byte
 // with forensic context (metric delta, route tables, span subtree)
 // attached.
 func TestFlightRecorderCapturesCrashIncident(t *testing.T) {
-	rec, _ := runFlightCrashScenario(t, 7)
+	rec, _, _ := runFlightCrashScenario(t, 7)
 
 	var dead *flight.Incident
 	for _, inc := range rec.Incidents() {
@@ -138,13 +143,125 @@ func TestFlightRecorderCapturesCrashIncident(t *testing.T) {
 // virtual time must produce byte-identical sealed incident bundles —
 // the property that makes flight-recorder output diffable in CI.
 func TestFlightRecorderDeterministicAcrossRuns(t *testing.T) {
-	_, a := runFlightCrashScenario(t, 11)
-	_, b := runFlightCrashScenario(t, 11)
+	_, _, a := runFlightCrashScenario(t, 11)
+	_, _, b := runFlightCrashScenario(t, 11)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same-seed incident bundles differ:\nrun A: %s\nrun B: %s", a, b)
 	}
-	_, c := runFlightCrashScenario(t, 12)
+	_, _, c := runFlightCrashScenario(t, 12)
 	if bytes.Equal(a, c) {
 		t.Fatal("different seeds produced identical bundles; clock not advancing?")
+	}
+}
+
+// TestFlightRingRecordsEachFactOnce: the ring holds each control-plane
+// fact once, as its event record under component "event" stamped with
+// the trace of the operation it belongs to. No span-end copy and no
+// master or health line repeats an event; span trees reach incidents
+// through their Spans instead.
+func TestFlightRingRecordsEachFactOnce(t *testing.T) {
+	rec, events, _ := runFlightCrashScenario(t, 7)
+	ring := rec.Tail(int(rec.Seq()), flight.LevelDebug, "")
+	if uint64(len(ring)) != rec.Seq() {
+		t.Fatalf("ring wrapped: %d of %d records kept", len(ring), rec.Seq())
+	}
+	var got []flight.RecordView
+	for _, r := range ring {
+		switch {
+		case r.Comp == "master" || r.Comp == "health":
+			t.Errorf("ring holds %s line %q beside its event", r.Comp, r.Msg)
+		case r.Msg == "span":
+			t.Errorf("ring holds a span-end record: %v", r.Labels)
+		case r.Comp == "event":
+			got = append(got, r)
+		}
+	}
+	if len(got) != len(events) {
+		t.Fatalf("ring holds %d event records for %d events", len(got), len(events))
+	}
+	traced := map[soda.EventKind]int{}
+	for i, ev := range events {
+		r := got[i]
+		if r.Msg != ev.Kind.String() || r.Labels["detail"] != ev.Detail || r.Trace != ev.Trace {
+			t.Errorf("event %d %v recorded as %+v", i, ev, r)
+		}
+		switch ev.Kind {
+		case soda.EventAdmitted, soda.EventServiceActive, soda.EventNodeRecovered:
+			if r.Trace == 0 {
+				t.Errorf("%s record carries no trace", r.Msg)
+			}
+			traced[ev.Kind]++
+		}
+	}
+	for _, k := range []soda.EventKind{soda.EventAdmitted, soda.EventServiceActive, soda.EventNodeRecovered} {
+		if traced[k] == 0 {
+			t.Errorf("scenario raised no %s event", k)
+		}
+	}
+}
+
+// TestFlightRecordsAutoscaleTroubleAtWarn: a blocked and a failed
+// autoscale change reach the ring at warn level; decisions and
+// completions stay at info. Memory for only two instances on the
+// testbed's two hosts makes the scale-up past two fail.
+func TestFlightRecordsAutoscaleTroubleAtWarn(t *testing.T) {
+	tb, err := New(Config{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Agent.RegisterASP("asp", "k"); err != nil {
+		t.Fatal(err)
+	}
+	tb.EnableAccounting(accounting.Options{})
+	tb.EnableAutoscaling(AutoscaleOptions{TickEvery: 500 * sim.Millisecond})
+	rec, _ := tb.EnableFlightRecorder()
+
+	img := WebContentImage("img", 2)
+	if err := tb.Publish(img); err != nil {
+		t.Fatal(err)
+	}
+	wd := NewWebDeployment(tb, appsvc.DefaultWebParams(8))
+	m := smallM()
+	m.CPUMHz, m.MemoryMB = 16, 900
+	svc, err := tb.CreateService("k", soda.ServiceSpec{
+		Name: "web", ImageName: img.Name, Repository: RepoIP,
+		Requirement:  soda.Requirement{N: 1, M: m},
+		GuestProfile: img.SystemServices, Behavior: wd.Behavior(),
+		Autoscale: autoscale.Policy{
+			Min: 1, Max: 4, TargetUtilization: 0.5, HighWater: 0.7, LowWater: 0.2,
+			MaxStep: 1, UpCooldown: 2 * sim.Second, DownCooldown: 5 * sim.Second,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := workload.NewGenerator(tb.K, SwitchTarget{Switch: svc.Switch}, tb.AddClient(), tb.RNG.Split())
+	gen.RunOpenLoop(120)
+	tb.K.RunFor(10 * sim.Second)
+	gen.Stop()
+
+	var blocked, failed int
+	for _, r := range rec.Tail(int(rec.Seq()), flight.LevelDebug, "event") {
+		if r.Msg != "autoscale" {
+			continue
+		}
+		detail, want := r.Labels["detail"], "info"
+		switch {
+		case strings.HasPrefix(detail, "blocked: "):
+			blocked++
+			want = "warn"
+		case strings.Contains(detail, " failed: "):
+			failed++
+			want = "warn"
+			if r.Trace == 0 {
+				t.Errorf("failed resize %q carries no trace", detail)
+			}
+		}
+		if r.Level != want {
+			t.Errorf("autoscale %q at %s, want %s", detail, r.Level, want)
+		}
+	}
+	if blocked == 0 || failed == 0 {
+		t.Fatalf("want a blocked and a failed autoscale record; got %d blocked, %d failed", blocked, failed)
 	}
 }

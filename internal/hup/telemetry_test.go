@@ -219,32 +219,3 @@ func TestTelemetryMetricsFollowLifecycle(t *testing.T) {
 		t.Fatal("no service.teardown span")
 	}
 }
-
-// TestSpanEventsBridgeToObservers checks that an instrumented Master
-// feeds ended spans into the existing Event/Observer mechanism.
-func TestSpanEventsBridgeToObservers(t *testing.T) {
-	tb := deployTestbed(t)
-	var rec soda.EventRecorder
-	tb.Master.Observe(rec.Record)
-	img := WebContentImage("img", 2)
-	if err := tb.Publish(img); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tb.CreateService("k", soda.ServiceSpec{
-		Name: "web", ImageName: img.Name, Repository: RepoIP,
-		Requirement:  soda.Requirement{N: 1, M: smallM()},
-		GuestProfile: img.SystemServices,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	spans := rec.CountOf(soda.EventSpanEnded)
-	// At least admission, download, tailor, boot, bootstrap, prime,
-	// switch.build, and the root.
-	if spans < 8 {
-		t.Fatalf("span events = %d, want >= 8", spans)
-	}
-	// Other lifecycle events still flow alongside.
-	if rec.CountOf(soda.EventServiceActive) != 1 {
-		t.Fatalf("kinds = %v", rec.Kinds())
-	}
-}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"time"
 
 	"repro/internal/accounting"
@@ -477,9 +478,13 @@ func (tb *Testbed) EnableFlightRecorder() (*flight.Recorder, *flight.Logger) {
 		tb.Standby.SetFlightLogger(log)
 	}
 
-	// Every SODA event becomes a ring record; failure-path events also
-	// open incidents, keyed per subject so a multi-host outage captures
-	// one bundle per host while a flapping host stays rate-limited.
+	// Every SODA event becomes one ring record under component "event",
+	// carrying the trace of the operation it belongs to: the event is
+	// the fact's only account in the ring (span trees reach incidents
+	// through Spans). Failure-path events also open incidents, keyed per
+	// subject so a multi-host outage captures one bundle per host while
+	// a flapping host stays rate-limited.
+	elog := log.Component("event")
 	master.Observe(func(ev soda.Event) {
 		msg := ev.Kind.String()
 		level := flight.LevelInfo
@@ -488,8 +493,11 @@ func (tb *Testbed) EnableFlightRecorder() (*flight.Recorder, *flight.Logger) {
 			level = flight.LevelError
 		case soda.EventHostSuspected, soda.EventSLOViolation:
 			level = flight.LevelWarn
-		case soda.EventSpanEnded:
-			level = flight.LevelDebug
+		case soda.EventAutoscale:
+			// A blocked or failed capacity change is a warning.
+			if strings.HasPrefix(ev.Detail, "blocked: ") || strings.Contains(ev.Detail, " failed: ") {
+				level = flight.LevelWarn
+			}
 		}
 		labels := make([]telemetry.Label, 0, 3)
 		if ev.Service != "" {
@@ -501,16 +509,14 @@ func (tb *Testbed) EnableFlightRecorder() (*flight.Recorder, *flight.Logger) {
 		if ev.Detail != "" {
 			labels = append(labels, telemetry.L("detail", ev.Detail))
 		}
-		elog := log.Component("event")
+		tlog := elog.WithTrace(ev.Trace)
 		switch level {
 		case flight.LevelError:
-			elog.Error(msg, labels...)
+			tlog.Error(msg, labels...)
 		case flight.LevelWarn:
-			elog.Warn(msg, labels...)
-		case flight.LevelDebug:
-			elog.Debug(msg, labels...)
+			tlog.Warn(msg, labels...)
 		default:
-			elog.Info(msg, labels...)
+			tlog.Info(msg, labels...)
 		}
 		switch ev.Kind {
 		case soda.EventSLOViolation:
@@ -528,7 +534,7 @@ func (tb *Testbed) EnableFlightRecorder() (*flight.Recorder, *flight.Logger) {
 		case soda.EventAutoscale:
 			// Capacity changes are exactly the context a post-hoc
 			// investigation wants around a load event; failures and
-			// blocks double as warnings above.
+			// blocks are recorded as warnings above.
 			rec.Trigger("autoscale", ev.Service, ev.Detail)
 		}
 	})

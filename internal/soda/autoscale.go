@@ -120,10 +120,7 @@ func (m *Master) AutoscaleTick() {
 				To: dec.Target, Reason: dec.Reason, AtNs: int64(now),
 			})
 			m.autoBlockedCtr.Inc()
-			m.emit(EventAutoscale, name, "", "blocked: "+dec.Reason)
-			m.flog.Warn("autoscale blocked",
-				telemetry.L("service", name),
-				telemetry.L("reason", dec.Reason))
+			m.emit(EventAutoscale, 0, name, "", "blocked: "+dec.Reason)
 		default:
 			a.lastBlock = ""
 		}
@@ -174,29 +171,24 @@ func (m *Master) autoscaleAct(svc *Service, dec autoscale.Decision, sig autoscal
 	sp.Annotate("from", itoa(from))
 	sp.Annotate("to", itoa(dec.Target))
 	sp.Annotate("reason", dec.Reason)
-	m.emit(EventAutoscale, name, "",
+	m.emit(EventAutoscale, sp.TraceID(), name, "",
 		fmt.Sprintf("%s %d -> %d: %s", dir, from, dec.Target, dec.Reason))
-	m.flog.WithTrace(sp.TraceID()).Info("autoscale resize",
-		telemetry.L("service", name),
-		telemetry.L("direction", dir),
-		telemetry.L("from", itoa(from)),
-		telemetry.L("to", itoa(dec.Target)),
-		telemetry.L("reason", dec.Reason))
 	m.ResizeService(name, dec.Target, func(*Service) {
 		sp.EndSpan()
-		m.autoscaleDone(name, dir, dec.Target, true, "")
+		m.autoscaleDone(name, dir, dec.Target, sp.TraceID(), nil)
 	}, func(err error) {
 		sp.Fail(err)
-		m.autoscaleDone(name, dir, dec.Target, false, err.Error())
+		m.autoscaleDone(name, dir, dec.Target, sp.TraceID(), err)
 	})
 }
 
 // autoscaleDone seals one resize by committing autoscale-done, which
 // clears the pending marker, stamps the direction's cooldown clock and
-// counts the move (a failure as blocked). Completion callbacks from a
+// counts the move (a failure, err != nil, as blocked); trace is the
+// resize's trace, or 0 for a re-issued one. Completion callbacks from a
 // crashed or deposed leader are discarded: the journal holds the pending
 // decision and the new leader re-issues it itself.
-func (m *Master) autoscaleDone(name, dir string, target int, ok bool, detail string) {
+func (m *Master) autoscaleDone(name, dir string, target int, trace uint64, err error) {
 	if m.halted {
 		return
 	}
@@ -207,6 +199,7 @@ func (m *Master) autoscaleDone(name, dir string, target int, ok bool, detail str
 		return // torn down while the resize was in flight
 	}
 	now := m.net.Kernel().Now()
+	ok := err == nil
 	switch {
 	case !ok:
 		m.autoBlockedCtr.Inc()
@@ -219,13 +212,10 @@ func (m *Master) autoscaleDone(name, dir string, target int, ok bool, detail str
 		Service: name, Dir: dir, To: target, AtNs: int64(now), OK: ok,
 	})
 	if ok {
-		m.emit(EventAutoscale, name, "", fmt.Sprintf("%s to %d complete", dir, target))
+		m.emit(EventAutoscale, trace, name, "", fmt.Sprintf("%s to %d complete", dir, target))
 		return
 	}
-	m.emit(EventAutoscale, name, "", fmt.Sprintf("%s to %d failed: %s", dir, target, detail))
-	m.flog.Warn("autoscale resize failed",
-		telemetry.L("service", name),
-		telemetry.L("error", detail))
+	m.emit(EventAutoscale, trace, name, "", fmt.Sprintf("%s to %d failed: %v", dir, target, err))
 }
 
 // reissuePendingResizes re-drives every journaled-but-incomplete resize
@@ -240,12 +230,12 @@ func (m *Master) reissuePendingResizes() {
 			continue
 		}
 		name, dir, target := name, a.PendingDir, a.PendingTarget
-		m.emit(EventAutoscale, name, "",
+		m.emit(EventAutoscale, 0, name, "",
 			fmt.Sprintf("re-issuing pending %s to %d after failover", dir, target))
 		m.ResizeService(name, target, func(*Service) {
-			m.autoscaleDone(name, dir, target, true, "")
+			m.autoscaleDone(name, dir, target, 0, nil)
 		}, func(err error) {
-			m.autoscaleDone(name, dir, target, false, err.Error())
+			m.autoscaleDone(name, dir, target, 0, err)
 		})
 	}
 }

@@ -24,15 +24,11 @@ const (
 	EventResized
 	// EventTornDown: the service was removed.
 	EventTornDown
-	// EventSpanEnded: a control-plane trace span closed. Emitted only on
-	// instrumented Masters — the tracer's OnEnd hook feeds the observer
-	// mechanism, so event consumers see the span stream too.
-	EventSpanEnded
 	// EventSLOViolation: the accounting subsystem detected a service
 	// burning its error budget past a multi-window threshold. The detail
 	// names the dimension (latency/availability/cpu), window pair, and
-	// burn rate; the matching "slo.violation" trace span carries the
-	// breached window.
+	// burn rate; the matching "slo.violation" trace span, named by the
+	// event's Trace, carries the breached window.
 	EventSLOViolation
 	// EventNodeFailed: a virtual service node was lost to a host crash or
 	// guest-OS crash and has been removed from its service's route table.
@@ -81,8 +77,6 @@ func (k EventKind) String() string {
 		return "resized"
 	case EventTornDown:
 		return "torn-down"
-	case EventSpanEnded:
-		return "span"
 	case EventSLOViolation:
 		return "slo-violation"
 	case EventNodeFailed:
@@ -121,6 +115,9 @@ type Event struct {
 	Node string
 	// Detail carries human-readable context.
 	Detail string
+	// Trace is the ID of the trace the fact belongs to (the span tree of
+	// the operation that raised it), or 0 when none.
+	Trace uint64
 }
 
 // String renders one trace line.
@@ -143,12 +140,13 @@ func (m *Master) Observe(obs Observer) {
 	m.observers = append(m.observers, obs)
 }
 
-// emit publishes an event to all observers.
-func (m *Master) emit(kind EventKind, service, node, detail string) {
+// emit publishes an event, stamped with its trace (0 for none), to all
+// observers.
+func (m *Master) emit(kind EventKind, trace uint64, service, node, detail string) {
 	if len(m.observers) == 0 {
 		return
 	}
-	e := Event{At: m.net.Kernel().Now(), Kind: kind, Service: service, Node: node, Detail: detail}
+	e := Event{At: m.net.Kernel().Now(), Kind: kind, Service: service, Node: node, Detail: detail, Trace: trace}
 	for _, obs := range m.observers {
 		obs(e)
 	}

@@ -10,13 +10,7 @@ import (
 func TestEventLifecycleSequence(t *testing.T) {
 	tb := newTestbed(t)
 	var rec soda.EventRecorder
-	// The testbed's tracer turns every closed span into an
-	// EventSpanEnded; this test follows the lifecycle events only.
-	tb.Master.Observe(func(e soda.Event) {
-		if e.Kind != soda.EventSpanEnded {
-			rec.Record(e)
-		}
-	})
+	tb.Master.Observe(rec.Record)
 
 	spec, _ := webSpec(tb, t, "web", 3)
 	if _, err := tb.CreateService("genome-key", spec); err != nil {

@@ -299,17 +299,12 @@ func (c *Cluster) takeover() {
 	nl.state = st
 	nl.commit("epoch", jEpoch{Epoch: newEpoch})
 	c.rebuild(nl)
-	nl.emit(EventMasterDown, "", "",
+	nl.emit(EventMasterDown, 0, "", "",
 		fmt.Sprintf("leader silent %v, standby taking over at epoch %d", silence, newEpoch))
-	nl.flog.Error("leader presumed dead",
-		telemetry.L("silence", silence.String()),
-		telemetry.L("epoch", itoa(int(newEpoch))))
 	for _, name := range lost {
 		nl.rejectedCtr.Inc()
 		nl.commit("service-rejected", jName{Service: name})
-		nl.emit(EventRejected, name, "", "lost mid-priming by control-plane failover")
-		nl.flog.Warn("mid-priming service rejected at failover",
-			telemetry.L("service", name))
+		nl.emit(EventRejected, 0, name, "", "lost mid-priming by control-plane failover")
 	}
 
 	// The failure detector moves with its state, but every non-dead
@@ -468,7 +463,7 @@ func (c *Cluster) daemonResynced(nl *Master, di int, report ResyncReport, rep jo
 		}
 	}
 	c.received++
-	nl.emit(EventDaemonResync, "", d.Host().Spec.Name,
+	nl.emit(EventDaemonResync, 0, "", d.Host().Spec.Name,
 		fmt.Sprintf("epoch %d: %d node(s) adopted, %d orphan(s), %d image(s)",
 			nl.state.Epoch, adopted, orphans, len(report.Chunks)))
 	c.maybeComplete(nl, rep)
@@ -502,13 +497,9 @@ func (c *Cluster) maybeComplete(nl *Master, rep journal.ReplayReport) {
 		At: now, Epoch: nl.state.Epoch, MTTR: mttr, Resynced: c.received,
 		Replayed: rep.Records, Truncated: rep.Truncated,
 	})
-	nl.emit(EventFailover, "", "",
+	nl.emit(EventFailover, 0, "", "",
 		fmt.Sprintf("epoch %d leads: %d daemon(s) resynced, %d record(s) replayed, mttr %v",
 			nl.state.Epoch, c.received, rep.Records, mttr))
-	nl.flog.Info("failover complete",
-		telemetry.L("epoch", itoa(int(nl.state.Epoch))),
-		telemetry.L("resynced", itoa(c.received)),
-		telemetry.L("mttr", mttr.String()))
 
 	// With every daemon resynced the adopted node sets are authoritative:
 	// re-drive any resize the old leader decided but never completed. The

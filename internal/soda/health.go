@@ -242,10 +242,7 @@ func (m *Master) heartbeat(i int) {
 	if hs.state != HostAlive {
 		prev := hs.state
 		hs.state = HostAlive
-		m.emit(EventHostAlive, "", m.daemons[i].Host().Spec.Name, fmt.Sprintf("host %s back from %v", m.daemons[i].Host().Spec.Name, prev))
-		m.flog.Component("health").Info("host alive",
-			telemetry.L("host", m.daemons[i].Host().Spec.Name),
-			telemetry.L("was", prev.String()))
+		m.emit(EventHostAlive, 0, "", m.daemons[i].Host().Spec.Name, fmt.Sprintf("host %s back from %v", m.daemons[i].Host().Spec.Name, prev))
 	}
 }
 
@@ -261,20 +258,14 @@ func (m *Master) checkLiveness() {
 		silent := now.Sub(hs.lastBeat)
 		if hs.state == HostAlive && silent >= h.cfg.suspectAfter() {
 			hs.state = HostSuspected
-			m.emit(EventHostSuspected, "", m.daemons[i].Host().Spec.Name,
+			m.emit(EventHostSuspected, 0, "", m.daemons[i].Host().Spec.Name,
 				fmt.Sprintf("host %s silent %v", m.daemons[i].Host().Spec.Name, silent))
-			m.flog.Component("health").Warn("host suspected",
-				telemetry.L("host", m.daemons[i].Host().Spec.Name),
-				telemetry.L("silent", silent.String()))
 		}
 		if hs.state == HostSuspected && silent >= h.cfg.confirmAfter() {
 			hs.state = HostDead
 			h.hostDeadCtr.Inc()
-			m.emit(EventHostDead, "", m.daemons[i].Host().Spec.Name,
+			m.emit(EventHostDead, 0, "", m.daemons[i].Host().Spec.Name,
 				fmt.Sprintf("host %s silent %v, recovering", m.daemons[i].Host().Spec.Name, silent))
-			m.flog.Component("health").Error("host dead",
-				telemetry.L("host", m.daemons[i].Host().Spec.Name),
-				telemetry.L("silent", silent.String()))
 			m.hostDied(i, now)
 		}
 	}
@@ -341,11 +332,8 @@ func (m *Master) recoverNodes(svc *Service, lost []NodeInfo, detectedAt sim.Time
 		svc.Config.RemoveEntry(n.IP, n.Port)
 		svc.Nodes = slices.DeleteFunc(svc.Nodes, func(x NodeInfo) bool { return x.NodeName == n.NodeName })
 		m.commit("node-failed", jNodeRef{Service: svc.Spec.Name, Name: n.NodeName})
-		m.emit(EventNodeFailed, svc.Spec.Name, n.NodeName,
+		m.emit(EventNodeFailed, 0, svc.Spec.Name, n.NodeName,
 			fmt.Sprintf("%s (%s, cap %d)", cause, n.HostName, n.Capacity))
-		m.flog.Component("health").Error("node failed",
-			telemetry.L("service", svc.Spec.Name), telemetry.L("node", n.NodeName),
-			telemetry.L("cause", cause))
 	}
 
 	// If the switch's home node died, adopt a survivor: the Switch value
@@ -377,12 +365,11 @@ func (m *Master) restoreCapacity(svc *Service, lost []NodeInfo, lostCap int, det
 	if len(lost) > 0 {
 		failedNode, failedHost = lost[0].NodeName, lost[0].HostName
 	}
+	root := m.tracer.StartRoot("recovery.replace",
+		telemetry.L("service", svc.Spec.Name), telemetry.L("instances", fmt.Sprintf("%d", lostCap)))
 	retry := func(remaining int) {
-		m.emit(EventRecoveryFailed, svc.Spec.Name, "",
+		m.emit(EventRecoveryFailed, root.TraceID(), svc.Spec.Name, "",
 			fmt.Sprintf("%d instance(s) unplaced, retry in %v", remaining, h.cfg.RetryRecovery))
-		m.flog.Component("health").Warn("recovery shortfall",
-			telemetry.L("service", svc.Spec.Name),
-			telemetry.L("unplaced", fmt.Sprint(remaining)))
 		h.recoveries = append(h.recoveries, RecoveryRecord{
 			At: k.Now(), Service: svc.Spec.Name,
 			FailedNode: failedNode, FailedHost: failedHost,
@@ -393,9 +380,6 @@ func (m *Master) restoreCapacity(svc *Service, lost []NodeInfo, lostCap int, det
 			m.restoreCapacity(svc, lost, remaining, detectedAt)
 		})
 	}
-
-	root := m.tracer.StartRoot("recovery.replace",
-		telemetry.L("service", svc.Spec.Name), telemetry.L("instances", fmt.Sprintf("%d", lostCap)))
 
 	// Allocate replacement nodes on hosts the service does not occupy.
 	placements, err := m.placeFresh(svc, lostCap)
@@ -413,11 +397,8 @@ func (m *Master) restoreCapacity(svc *Service, lost []NodeInfo, lostCap int, det
 				MTTR: k.Now().Sub(detectedAt), OK: true,
 				Detail: fmt.Sprintf("grew survivors in place by %d", lostCap-remaining),
 			})
-			m.emit(EventNodeRecovered, svc.Spec.Name, "",
+			m.emit(EventNodeRecovered, root.TraceID(), svc.Spec.Name, "",
 				fmt.Sprintf("in-place +%d, mttr %v", lostCap-remaining, k.Now().Sub(detectedAt)))
-			m.flog.Component("health").WithTrace(root.TraceID()).Info("node recovered",
-				telemetry.L("service", svc.Spec.Name),
-				telemetry.L("mttr", k.Now().Sub(detectedAt).String()))
 		}
 		if remaining > 0 {
 			root.Fail(fmt.Errorf("soda: recovery of %q: %w", svc.Spec.Name, err))
@@ -448,13 +429,8 @@ func (m *Master) restoreCapacity(svc *Service, lost []NodeInfo, lostCap int, det
 			MTTR: mttr, OK: true,
 			Detail: fmt.Sprintf("cap %d", info.Capacity),
 		})
-		m.emit(EventNodeRecovered, svc.Spec.Name, info.NodeName,
+		m.emit(EventNodeRecovered, root.TraceID(), svc.Spec.Name, info.NodeName,
 			fmt.Sprintf("on %s cap=%d mttr=%v", info.HostName, info.Capacity, mttr))
-		m.flog.Component("health").WithTrace(root.TraceID()).Info("node recovered",
-			telemetry.L("service", svc.Spec.Name),
-			telemetry.L("node", info.NodeName),
-			telemetry.L("host", info.HostName),
-			telemetry.L("mttr", mttr.String()))
 	}, func(unplaced int, _ error) {
 		m.refreshConfig(svc)
 		m.watchService(svc)

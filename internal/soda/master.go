@@ -191,23 +191,11 @@ func (m *Master) Rejected() int { return m.state.Rejected }
 // Instrument connects the Master — and every switch it subsequently
 // creates — to a metrics registry and span tracer. Both may be nil
 // (no-op). Daemons are instrumented separately (hup.New wires the
-// whole control plane).
+// whole control plane). Spans stay in the tracer; events name the trace
+// they belong to, so the two streams never restate each other.
 func (m *Master) Instrument(reg *telemetry.Registry, tracer *telemetry.Tracer) {
 	m.reg = reg
 	m.tracer = tracer
-	if tracer != nil {
-		// The event mechanism consumes the span stream: every closed span
-		// becomes an EventSpanEnded for the registered observers.
-		tracer.OnEnd(func(sp *telemetry.Span) {
-			// Route via the current leader so observers keep receiving span
-			// events after a failover moved them; with none, format nothing.
-			if lead := m.currentLeader(); len(lead.observers) > 0 {
-				svcName, _ := sp.Attr("service")
-				node, _ := sp.Attr("node")
-				lead.emit(EventSpanEnded, svcName, node, fmt.Sprintf("%s took %v", sp.Name, sp.Duration()))
-			}
-		})
-	}
 	m.admittedCtr = reg.Counter("soda_master_admitted_total")
 	m.rejectedCtr = reg.Counter("soda_master_rejected_total")
 	m.tornDownCtr = reg.Counter("soda_master_torndown_total")
@@ -257,7 +245,7 @@ func (m *Master) EnableAccounting(a *accounting.Accountant) {
 		a.SetLogger(m.flog.Component("accounting"))
 	}
 	a.OnViolation(func(v accounting.Violation) {
-		m.currentLeader().emit(EventSLOViolation, v.Service, "", v.Detail)
+		m.currentLeader().emit(EventSLOViolation, v.Trace, v.Service, "", v.Detail)
 	})
 }
 
@@ -460,14 +448,14 @@ func (m *Master) createServices(file string, specs []ServiceSpec, onDone func([]
 		svcs = append(svcs, svc)
 		m.activeServices.Set(float64(len(m.services)))
 		m.commit("service-admitted", specOf(spec))
-		m.emit(EventAdmitted, spec.Name, "",
+		m.emit(EventAdmitted, root.TraceID(), spec.Name, "",
 			fmt.Sprintf("<%d, M> over %d node(s), strategy %v", spec.Requirement.N, len(placements), m.Strategy))
-		m.flog.WithTrace(root.TraceID()).Info("service admitted",
-			telemetry.L("service", spec.Name),
-			telemetry.L("placements", fmt.Sprint(len(placements))))
 
 		m.primeNodes(svc, placements, root, "prime", func(info NodeInfo) {
-			m.emitNodePrimed(spec.Name, info)
+			m.emit(EventNodePrimed, root.TraceID(), spec.Name, info.NodeName,
+				fmt.Sprintf("%s ip=%s cap=%d download=%.1fs boot=%.1fs",
+					info.HostName, info.IP, info.Capacity,
+					info.DownloadTime.Seconds(), info.BootTime.Seconds()))
 		}, func(unplaced int, _ error) {
 			if unplaced > 0 {
 				fail(fmt.Errorf("soda: priming failed for service %q", spec.Name))
@@ -489,11 +477,8 @@ func (m *Master) createServices(file string, specs []ServiceSpec, onDone func([]
 				m.commit("service-active", jName{Service: s.Spec.Name})
 				roots[j].EndSpan()
 				m.watchService(s)
-				m.emit(EventServiceActive, s.Spec.Name, "",
+				m.emit(EventServiceActive, roots[j].TraceID(), s.Spec.Name, "",
 					fmt.Sprintf("switch on %s, policy %s", home, s.Switch.Policy().Name()))
-				m.flog.WithTrace(roots[j].TraceID()).Info("service active",
-					telemetry.L("service", s.Spec.Name),
-					telemetry.L("switch", home))
 			}
 			if onDone != nil {
 				onDone(svcs)
@@ -508,9 +493,7 @@ func (m *Master) createServices(file string, specs []ServiceSpec, onDone func([]
 func (m *Master) reject(name string, err error, root *telemetry.Span, onErr func(error)) {
 	m.rejectedCtr.Inc()
 	m.commit("service-rejected", jName{Service: name})
-	m.emit(EventRejected, name, "", err.Error())
-	m.flog.WithTrace(root.TraceID()).Error("service rejected",
-		telemetry.L("service", name), telemetry.L("error", err.Error()))
+	m.emit(EventRejected, root.TraceID(), name, "", err.Error())
 	root.Fail(err)
 	if onErr != nil {
 		onErr(err)
@@ -600,14 +583,6 @@ func (m *Master) primeNodes(svc *Service, placements []Placement, parent *teleme
 			fail(err)
 		}
 	}
-}
-
-// emitNodePrimed announces one primed node of a service being created.
-func (m *Master) emitNodePrimed(service string, info NodeInfo) {
-	m.emit(EventNodePrimed, service, info.NodeName,
-		fmt.Sprintf("%s ip=%s cap=%d download=%.1fs boot=%.1fs",
-			info.HostName, info.IP, info.Capacity,
-			info.DownloadTime.Seconds(), info.BootTime.Seconds()))
 }
 
 func servicePort(spec ServiceSpec) int {
@@ -775,8 +750,7 @@ func (m *Master) TeardownService(name string) error {
 	}
 	m.activeServices.Set(float64(len(m.services)))
 	m.tornDownCtr.Inc()
-	m.emit(EventTornDown, name, "", "")
-	m.flog.WithTrace(sp.TraceID()).Info("service torn down", telemetry.L("service", name))
+	m.emit(EventTornDown, sp.TraceID(), name, "", "")
 	sp.EndSpan()
 	return nil
 }

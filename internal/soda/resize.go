@@ -43,7 +43,7 @@ func (m *Master) ResizeService(name string, newN int, onDone func(*Service), onE
 	emitted := func(s *Service) {
 		// Re-watch so the meter tracks the new node set and reservation.
 		m.watchService(s)
-		m.emit(EventResized, s.Spec.Name, "",
+		m.emit(EventResized, 0, s.Spec.Name, "",
 			fmt.Sprintf("capacity %d -> %d over %d node(s)", current, s.TotalCapacity(), len(s.Nodes)))
 		if onDone != nil {
 			onDone(s)

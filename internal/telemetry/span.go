@@ -48,7 +48,6 @@ type Tracer struct {
 	clock     func() time.Duration
 	roots     []*Span
 	limit     int
-	onEnd     []func(*Span)
 	nextTrace uint64
 	nextSpan  uint64
 }
@@ -82,18 +81,6 @@ func (t *Tracer) SetSpanLimit(n int) {
 	}
 	t.mu.Lock()
 	t.limit = n
-	t.mu.Unlock()
-}
-
-// OnEnd registers a hook invoked (under the tracer lock) whenever a span
-// ends — the bridge by which other mechanisms, like soda's Event stream,
-// consume spans instead of maintaining parallel instrumentation.
-func (t *Tracer) OnEnd(fn func(*Span)) {
-	if t == nil || fn == nil {
-		return
-	}
-	t.mu.Lock()
-	t.onEnd = append(t.onEnd, fn)
 	t.mu.Unlock()
 }
 
@@ -145,24 +132,18 @@ func (s *Span) Annotate(key, value string) {
 	s.tracer.mu.Unlock()
 }
 
-// EndSpan closes the span at the tracer's current clock and fires OnEnd
-// hooks. Ending twice is a no-op. Nil-safe.
+// EndSpan closes the span at the tracer's current clock. Ending twice is
+// a no-op. Nil-safe.
 func (s *Span) EndSpan() {
 	if s == nil {
 		return
 	}
 	t := s.tracer
 	t.mu.Lock()
-	if s.ended {
-		t.mu.Unlock()
-		return
-	}
-	s.ended = true
-	s.End = t.clock()
-	hooks := t.onEnd
-	t.mu.Unlock()
-	for _, fn := range hooks {
-		fn(s)
+	defer t.mu.Unlock()
+	if !s.ended {
+		s.ended = true
+		s.End = t.clock()
 	}
 }
 

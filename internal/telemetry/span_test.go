@@ -83,7 +83,6 @@ func TestSpanNilSafety(t *testing.T) {
 	if tr.Roots() != nil {
 		t.Fatal("nil tracer roots")
 	}
-	tr.OnEnd(func(*Span) {})
 	tr.SetSpanLimit(5)
 }
 
@@ -102,20 +101,6 @@ func TestSpanDoubleEndAndFail(t *testing.T) {
 	f.Fail(errors.New("no capacity"))
 	if msg, ok := f.Attr("error"); !ok || msg != "no capacity" {
 		t.Fatalf("error attr = %q, %v", msg, ok)
-	}
-}
-
-func TestOnEndHook(t *testing.T) {
-	clk := &testClock{}
-	tr := NewTracer(clk.clock)
-	var ended []string
-	tr.OnEnd(func(s *Span) { ended = append(ended, s.Name) })
-	root := tr.StartRoot("a")
-	c := root.StartChild("b")
-	c.EndSpan()
-	root.EndSpan()
-	if len(ended) != 2 || ended[0] != "b" || ended[1] != "a" {
-		t.Fatalf("ended = %v", ended)
 	}
 }
 
