@@ -170,12 +170,12 @@ func BenchmarkFluidChurn(b *testing.B) {
 	for _, n := range []int{500, 1000, 2000, 4000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			k, cpu := churnCPU(n)
-			meta := &FlowMeta{UID: 2, PID: n + 1}
+			burst := &sim.Flow{Label: "burst", Weight: 1, Meta: &FlowMeta{UID: 2, PID: n + 1}}
 			done := func() {}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cpu.SubmitPooled("burst", 1, 1e5, meta, done)
+				cpu.Start(burst, 1e5, done)
 				k.Run()
 			}
 		})
@@ -184,13 +184,13 @@ func BenchmarkFluidChurn(b *testing.B) {
 
 func TestProportionalBurstAllocatesNothing(t *testing.T) {
 	k, cpu := churnCPU(100)
-	meta := &FlowMeta{UID: 3, PID: 1000}
+	f := &sim.Flow{Label: "burst", Weight: 1, Meta: &FlowMeta{UID: 3, PID: 1000}}
 	done := func() {}
 	burst := func() {
-		cpu.SubmitPooled("burst", 1, 1e5, meta, done)
+		cpu.Start(f, 1e5, done)
 		k.Run()
 	}
-	burst() // fill the flow and event pools
+	burst() // fill the event pool
 	if a := testing.AllocsPerRun(200, burst); a != 0 {
 		t.Fatalf("steady-state CPU burst allocates %v times, want 0", a)
 	}

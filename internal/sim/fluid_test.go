@@ -740,11 +740,12 @@ func BenchmarkFluidChurn(b *testing.B) {
 			for i := 0; i < n; i++ {
 				s.Submit("resident", 1, 1e30, nil, nil)
 			}
+			burst := &Flow{Label: "burst", Weight: 1}
 			done := func() {}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.SubmitPooled("burst", 1, 1e3, nil, done)
+				s.Start(burst, 1e3, done)
 				k.Run()
 			}
 		})
