@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -352,4 +354,20 @@ func TestAPIImages(t *testing.T) {
 	if h.ChunkTotal <= 0 || h.FullHolders < 1 || len(h.PerHost) < 1 {
 		t.Fatalf("holder view = %+v", h)
 	}
+}
+
+// TestLogsHugeNAnswers asks /logs for more records than fit in memory:
+// the tail is bounded by the flight ring, so the request succeeds.
+func TestLogsHugeNAnswers(t *testing.T) {
+	srv, tb := apiFixture(t)
+	tb.EnableFlightRecorder()
+	resp, err := http.Get(srv.URL + "/logs?n=" + strconv.Itoa(math.MaxInt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	}
+	decode[LogsView](t, resp)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -330,5 +331,22 @@ func TestLevelRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseLevel("bogus"); err == nil {
 		t.Fatal("ParseLevel accepted junk")
+	}
+}
+
+// TestTailClampsToRing asks for more records than any ring holds: the
+// result is sized by what the ring has, not by n.
+func TestTailClampsToRing(t *testing.T) {
+	rec, _ := newTestRecorder()
+	log := NewLogger(rec)
+	for i := 0; i < 3; i++ {
+		log.Info(fmt.Sprintf("msg-%d", i))
+	}
+	tail := rec.Tail(math.MaxInt, LevelDebug, "")
+	if len(tail) != 3 || tail[0].Msg != "msg-0" || tail[2].Msg != "msg-2" {
+		t.Fatalf("tail = %+v, want the 3 records held", tail)
+	}
+	if cap(tail) > 3 {
+		t.Fatalf("tail capacity %d, want at most the 3 records held", cap(tail))
 	}
 }

@@ -156,7 +156,11 @@ func (r *Recorder) Tail(n int, min Level, component string) []RecordView {
 	if avail > cap64 {
 		avail = cap64
 	}
-	out := make([]RecordView, 0, n)
+	size := avail // n may exceed what the ring can hold
+	if uint64(n) < size {
+		size = uint64(n)
+	}
+	out := make([]RecordView, 0, size)
 	// Walk backwards from the newest record collecting matches, then
 	// reverse into chronological order.
 	for i := uint64(0); i < avail && len(out) < n; i++ {
@@ -254,7 +258,7 @@ func (r *Recorder) tailLocked(n int) []RecordView {
 	if uint64(n) > avail {
 		n = int(avail)
 	}
-	out := make([]RecordView, 0, n)
+	out := make([]RecordView, 0, min(uint64(n), avail))
 	for i := r.seq - uint64(n); i < r.seq; i++ {
 		out = append(out, r.ring[i%cap64].View())
 	}
