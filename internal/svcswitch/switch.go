@@ -155,7 +155,7 @@ type Switch struct {
 	// SetRequestTracer.
 	rtc *reqtrace.Collector
 
-	opFree []*inflight
+	opFree sim.FreeList[inflight]
 }
 
 // requestHandlingSyscalls is the switch's per-request work: accept, read,
@@ -291,10 +291,7 @@ func (s *Switch) StatsFor(e BackendEntry) Stats { return s.r.StatsFor(e.Addr()) 
 // getOp draws an inflight op from the free list, binding its stage
 // callbacks on first construction only.
 func (s *Switch) getOp() *inflight {
-	if n := len(s.opFree); n > 0 {
-		op := s.opFree[n-1]
-		s.opFree[n-1] = nil
-		s.opFree = s.opFree[:n-1]
+	if op := s.opFree.Get(); op != nil {
 		return op
 	}
 	op := &inflight{s: s}
@@ -317,7 +314,7 @@ func (s *Switch) getOp() *inflight {
 func (s *Switch) putOp(op *inflight) {
 	op.req, op.tr, op.rt, op.pick = Request{}, Trace{}, nil, 0
 	op.tried.Reset()
-	s.opFree = append(s.opFree, op)
+	s.opFree.Put(op)
 }
 
 // Route accepts one request: LAN hop to the switch, switch CPU, policy
