@@ -9,6 +9,7 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -405,8 +406,7 @@ func (s *Server) handleTriggerIncident(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req TriggerRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Trigger == "" {
@@ -589,6 +589,27 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// maxBodyBytes bounds a request body; the largest legitimate one, a
+// create request, is a few hundred bytes.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it answers 413 for an oversized body and 400 otherwise, and
+// returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, status, err)
+	return false
+}
+
 func statusFor(err error) int {
 	msg := err.Error()
 	switch {
@@ -605,8 +626,7 @@ func statusFor(err error) int {
 
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	var req PublishRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Name == "" || req.SizeMB <= 0 {
@@ -634,8 +654,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req CreateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	s.mu.Lock()
@@ -715,8 +734,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
 	var req ResizeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	s.mu.Lock()
@@ -801,8 +819,7 @@ type ProbeView struct {
 // ASP can run against its own hosted service.
 func (s *Server) handleProbe(w http.ResponseWriter, r *http.Request) {
 	var req ProbeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Requests <= 0 {

@@ -371,3 +371,31 @@ func TestLogsHugeNAnswers(t *testing.T) {
 	}
 	decode[LogsView](t, resp)
 }
+
+// TestOversizedBodyIsRejected posts a body past maxBodyBytes to every
+// route that decodes one: each answers 413, and a small malformed body
+// still answers 400.
+func TestOversizedBodyIsRejected(t *testing.T) {
+	_, tb := apiFixture(t)
+	tb.EnableFlightRecorder() // POST /incidents needs the recorder
+	h := NewServer(tb).Handler()
+	huge := `{"name":"` + strings.Repeat("a", maxBodyBytes) + `"}`
+	for _, path := range []string{
+		"/v1/images",
+		"/v1/services",
+		"/v1/services/web/resize",
+		"/v1/services/web/probe",
+		"/incidents",
+	} {
+		for body, want := range map[string]int{
+			huge:      http.StatusRequestEntityTooLarge,
+			`{"name"`: http.StatusBadRequest,
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+			if rec.Code != want {
+				t.Errorf("POST %s with a %d-byte body: status %d, want %d (%s)", path, len(body), rec.Code, want, rec.Body)
+			}
+		}
+	}
+}
