@@ -10,27 +10,29 @@
 // (partial final write) or a corrupted record is detected and replay
 // stops cleanly at the last valid frame instead of propagating garbage.
 //
-// Frame layout (all integers big-endian):
+// Frame layout (fixed-width integers big-endian):
 //
-//	[4B payload length][8B FNV-1a 64 of payload][payload]
+//	[4B body length][8B FNV-1a 64 of body][body]
+//	body = [uvarint seq][uvarint epoch][varint at][uvarint len(type)][type][data]
 //
-// The payload is the JSON encoding of a Record.  A snapshot is an
-// ordinary record (type "snapshot") that carries the full serialized
-// state; when one is taken the frames before it are dropped and the log
-// restarts from the snapshot frame, so Bytes() is always
-// snapshot-then-tail.
+// data is the JSON encoding of the record's payload, marshalled once;
+// the envelope around it is binary, so a record is neither re-encoded on
+// append nor decoded twice on replay.  A snapshot is an ordinary record
+// (type "snapshot") that carries the full serialized state; when one is
+// taken the frames before it are dropped and the log restarts from the
+// snapshot frame, so Bytes() is always snapshot-then-tail.
 package journal
 
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/telemetry"
 )
 
-// frameHeader is the fixed per-frame prefix: payload length + checksum.
+// frameHeader is the fixed per-frame prefix: body length + checksum.
 const frameHeader = 4 + 8
 
 // SnapshotType is the record type reserved for full-state snapshots.
@@ -51,7 +53,6 @@ type Record struct {
 // single-threaded kernel.
 type Log struct {
 	snapshot []byte // encoded frame of the latest snapshot record, or nil
-	snapSeq  uint64 // seq of the snapshot record
 	tail     []byte // frames appended since the snapshot
 	tailRecs int    // record count in tail
 
@@ -104,11 +105,9 @@ func (l *Log) OnAppend(fn func(Record)) {
 // unserializable mutation is a programming error, not a runtime
 // condition.
 func (l *Log) Append(at int64, typ string, data any) Record {
-	rec := l.makeRecord(at, typ, data)
-	frame := encodeFrame(rec)
-	l.tail = append(l.tail, frame...)
+	var rec Record
+	l.tail, rec = l.appendFrame(l.tail, at, typ, data)
 	l.tailRecs++
-	l.count(len(frame))
 	l.notify(rec)
 	return rec
 }
@@ -116,13 +115,10 @@ func (l *Log) Append(at int64, typ string, data any) Record {
 // Snapshot journals a full-state snapshot and truncates the log to it:
 // every frame before the snapshot is dropped.
 func (l *Log) Snapshot(at int64, data any) Record {
-	rec := l.makeRecord(at, SnapshotType, data)
-	frame := encodeFrame(rec)
+	frame, rec := l.appendFrame(nil, at, SnapshotType, data)
 	l.snapshot = frame
-	l.snapSeq = rec.Seq
 	l.tail = nil
 	l.tailRecs = 0
-	l.count(len(frame))
 	if l.snapsCtr != nil {
 		l.snapsCtr.Inc()
 	}
@@ -130,13 +126,28 @@ func (l *Log) Snapshot(at int64, data any) Record {
 	return rec
 }
 
-func (l *Log) makeRecord(at int64, typ string, data any) Record {
+// appendFrame appends the next record's frame to dst and returns the
+// grown buffer and the record.
+func (l *Log) appendFrame(dst []byte, at int64, typ string, data any) ([]byte, Record) {
 	raw, err := json.Marshal(data)
 	if err != nil {
 		panic(fmt.Sprintf("journal: marshal %s: %v", typ, err))
 	}
 	l.seq++
-	return Record{Seq: l.seq, Epoch: l.epoch, At: at, Type: typ, Data: raw}
+	rec := Record{Seq: l.seq, Epoch: l.epoch, At: at, Type: typ, Data: raw}
+	start := len(dst)
+	b := append(dst, make([]byte, frameHeader)...)
+	b = binary.AppendUvarint(b, rec.Seq)
+	b = binary.AppendUvarint(b, rec.Epoch)
+	b = binary.AppendVarint(b, rec.At)
+	b = binary.AppendUvarint(b, uint64(len(typ)))
+	b = append(b, typ...)
+	b = append(b, raw...)
+	body := b[start+frameHeader:]
+	binary.BigEndian.PutUint32(b[start:], uint32(len(body)))
+	binary.BigEndian.PutUint64(b[start+4:], checksum(body))
+	l.count(len(b) - start)
+	return b, rec
 }
 
 func (l *Log) count(n int) {
@@ -164,22 +175,15 @@ func (l *Log) Bytes() []byte {
 	return out
 }
 
-func encodeFrame(rec Record) []byte {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		panic(fmt.Sprintf("journal: marshal record: %v", err))
+// checksum is FNV-1a 64 over b.
+func checksum(b []byte) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= prime64
 	}
-	frame := make([]byte, frameHeader+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint64(frame[4:12], checksum(payload))
-	copy(frame[frameHeader:], payload)
-	return frame
-}
-
-func checksum(payload []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(payload)
-	return h.Sum64()
+	return h
 }
 
 // ReplayReport describes how far a replay got and why it stopped.
@@ -191,12 +195,14 @@ type ReplayReport struct {
 }
 
 // Replay decodes a journal image frame by frame.  It never fails: on a
-// short header, short payload, checksum mismatch, or undecodable
-// payload it stops at the last valid record and reports the reason.
-// This is the crash-consistency contract — a torn tail write yields the
-// longest valid prefix.
+// short header, short body, checksum mismatch, or undecodable body it
+// stops at the last valid record and reports the reason.  This is the
+// crash-consistency contract — a torn tail write yields the longest
+// valid prefix.  Each record's Data aliases data, which the caller must
+// therefore not modify while it holds the records.
 func Replay(data []byte) ([]Record, ReplayReport) {
 	var recs []Record
+	types := map[string]string{} // one string per record type, not per record
 	rep := ReplayReport{}
 	off := 0
 	for off < len(data) {
@@ -212,14 +218,14 @@ func Replay(data []byte) ([]Record, ReplayReport) {
 			rep.Reason = fmt.Sprintf("short payload at offset %d (want %d bytes)", off, n)
 			break
 		}
-		payload := data[off+frameHeader : off+frameHeader+n]
-		if checksum(payload) != sum {
+		body := data[off+frameHeader : off+frameHeader+n]
+		if checksum(body) != sum {
 			rep.Truncated = true
 			rep.Reason = fmt.Sprintf("checksum mismatch at offset %d", off)
 			break
 		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		rec, err := decodeBody(body, types)
+		if err != nil {
 			rep.Truncated = true
 			rep.Reason = fmt.Sprintf("undecodable record at offset %d: %v", off, err)
 			break
@@ -230,4 +236,45 @@ func Replay(data []byte) ([]Record, ReplayReport) {
 		rep.Bytes = off
 	}
 	return recs, rep
+}
+
+// decodeBody decodes a frame body into a record whose Data aliases the
+// body.  types interns the record types seen so far.
+func decodeBody(b []byte, types map[string]string) (Record, error) {
+	var rec Record
+	var n int
+	if rec.Seq, n = binary.Uvarint(b); n <= 0 {
+		return rec, errors.New("bad seq varint")
+	}
+	b = b[n:]
+	if rec.Epoch, n = binary.Uvarint(b); n <= 0 {
+		return rec, errors.New("bad epoch varint")
+	}
+	b = b[n:]
+	if rec.At, n = binary.Varint(b); n <= 0 {
+		return rec, errors.New("bad at varint")
+	}
+	b = b[n:]
+	tl, n := binary.Uvarint(b)
+	if n <= 0 {
+		return rec, errors.New("bad type length varint")
+	}
+	b = b[n:]
+	switch {
+	case tl == 0:
+		return rec, errors.New("empty type")
+	case tl > uint64(len(b)):
+		return rec, fmt.Errorf("type length %d past the %d bytes left", tl, len(b))
+	}
+	typ, ok := types[string(b[:tl])]
+	if !ok {
+		typ = string(b[:tl])
+		types[typ] = typ
+	}
+	rec.Type = typ
+	rec.Data = json.RawMessage(b[tl:len(b):len(b)])
+	if !json.Valid(rec.Data) {
+		return rec, errors.New("data is not valid JSON")
+	}
+	return rec, nil
 }

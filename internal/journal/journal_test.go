@@ -2,7 +2,10 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -72,25 +75,78 @@ func TestSnapshotTruncatesPrefix(t *testing.T) {
 
 func TestReplayStopsAtTruncatedTail(t *testing.T) {
 	l := New()
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 3; i++ {
 		l.Append(0, "a", mut{N: i})
 	}
+	boundary := l.Size()
+	l.Append(0, "a", mut{N: 3})
 	full := l.Bytes()
-	// Chop bytes off the end one at a time: replay must always yield a
-	// valid prefix, never an error or a phantom record.
-	for cut := 1; cut < 40; cut++ {
-		if cut >= len(full) {
-			break
-		}
-		recs, rep := Replay(full[:len(full)-cut])
-		if !rep.Truncated && len(recs) != 4 {
-			t.Fatalf("cut %d: not flagged truncated with %d records", cut, len(recs))
+	// A cut exactly on the last frame's boundary is a clean 3-record log.
+	if recs, rep := Replay(full[:boundary]); rep.Truncated || len(recs) != 3 {
+		t.Fatalf("cut on the boundary: %d records, truncated=%v (%s)", len(recs), rep.Truncated, rep.Reason)
+	}
+	// Every cut inside the last frame must yield exactly the valid
+	// 3-record prefix, flagged truncated — never an error or a phantom
+	// record.
+	for end := boundary + 1; end < len(full); end++ {
+		recs, rep := Replay(full[:end])
+		if !rep.Truncated || len(recs) != 3 || rep.Bytes != boundary {
+			t.Fatalf("cut at %d of %d: %d records, %d bytes, truncated=%v", end, len(full), len(recs), rep.Bytes, rep.Truncated)
 		}
 		for i, r := range recs {
 			if r.Seq != uint64(i+1) {
-				t.Fatalf("cut %d: bad prefix record %d: %+v", cut, i, r)
+				t.Fatalf("cut at %d: bad prefix record %d: %+v", end, i, r)
 			}
 		}
+	}
+}
+
+// frame wraps body in a frame header with a correct length and
+// checksum, so a test can hand the envelope decoder any body.
+func frame(body []byte) []byte {
+	out := make([]byte, frameHeader, frameHeader+len(body))
+	binary.BigEndian.PutUint32(out[0:4], uint32(len(body)))
+	binary.BigEndian.PutUint64(out[4:12], checksum(body))
+	return append(out, body...)
+}
+
+// body encodes an envelope whose type length field is typeLen.
+func body(typeLen uint64, typ, data string) []byte {
+	b := binary.AppendUvarint(nil, 1) // seq
+	b = binary.AppendUvarint(b, 0)    // epoch
+	b = binary.AppendVarint(b, -5)    // at
+	b = binary.AppendUvarint(b, typeLen)
+	b = append(b, typ...)
+	return append(b, data...)
+}
+
+// badEnvelopes are checksummed frames whose body does not decode.
+var badEnvelopes = map[string][]byte{
+	"truncated seq varint":     frame([]byte{0x80}),
+	"truncated at varint":      frame([]byte{1, 0, 0x81}),
+	"type length past payload": frame(body(10, "ab", "")),
+	"empty type":               frame(body(0, "", "{}")),
+	"non-JSON data":            frame(body(1, "m", "{not json")),
+	"missing data":             frame(body(1, "m", "")),
+	"overflowing epoch varint": frame([]byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}),
+	"type length varint cut":   frame([]byte{1, 0, 0, 0x80}),
+}
+
+func TestReplayRejectsBadEnvelopes(t *testing.T) {
+	l := New()
+	l.Append(3, "ok", mut{N: 1})
+	good := l.Bytes()
+	for name, bad := range badEnvelopes {
+		recs, rep := Replay(append(bytes.Clone(good), bad...))
+		want := fmt.Sprintf("undecodable record at offset %d", len(good))
+		if !rep.Truncated || len(recs) != 1 || rep.Bytes != len(good) || !strings.HasPrefix(rep.Reason, want) {
+			t.Errorf("%s: %d records, %d bytes, truncated=%v, reason %q", name, len(recs), rep.Bytes, rep.Truncated, rep.Reason)
+		}
+	}
+	// The helper's own well-formed envelope decodes, negative at and all.
+	recs, rep := Replay(frame(body(1, "m", `{"n":1}`)))
+	if rep.Truncated || len(recs) != 1 || recs[0].At != -5 || recs[0].Type != "m" || string(recs[0].Data) != `{"n":1}` {
+		t.Fatalf("well-formed envelope: %+v, %+v", recs, rep)
 	}
 }
 
@@ -149,6 +205,9 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1})
+	for _, bad := range badEnvelopes {
+		f.Add(bad)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, rep := Replay(data)
 		if rep.Bytes > len(data) {
@@ -167,4 +226,68 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatalf("clean replay left %d trailing bytes", len(data)-rep.Bytes)
 		}
 	})
+}
+
+// chunk has the shape of the Master's most frequent record,
+// chunk-announce.
+type chunk struct {
+	Image  string `json:"image"`
+	Chunk  uint64 `json:"chunk,omitempty"`
+	Daemon int    `json:"daemon"`
+	Total  int    `json:"total"`
+}
+
+// chunkLog journals n chunk-announce-shaped records.
+func chunkLog(n int) *Log {
+	l := New()
+	for i := 0; i < n; i++ {
+		l.Append(int64(i), "chunk-announce", any(chunk{Image: "web", Chunk: uint64(i), Daemon: i % 8, Total: 512}))
+	}
+	return l
+}
+
+// TestJournalAllocs guards the single-encode frame: an append costs at
+// most the payload's encoding, and a replayed record at most one
+// allocation.  Allocation counts do not depend on the machine.
+func TestJournalAllocs(t *testing.T) {
+	l := chunkLog(1)
+	var rec any = chunk{Image: "web", Chunk: 7, Daemon: 3, Total: 512}
+	if a := testing.AllocsPerRun(1000, func() { l.Append(1, "chunk-announce", rec) }); a > 3 {
+		t.Errorf("Append: %.1f allocs, want ≤ 3", a)
+	}
+	const n = 1000
+	img := chunkLog(n).Bytes()
+	a := testing.AllocsPerRun(20, func() {
+		if recs, _ := Replay(img); len(recs) != n {
+			t.Fatalf("replayed %d records, want %d", len(recs), n)
+		}
+	})
+	if perRec := a / n; perRec > 1 {
+		t.Errorf("Replay: %.2f allocs per record, want ≤ 1", perRec)
+	}
+}
+
+func BenchmarkJournalAppend(b *testing.B) {
+	l := New()
+	var rec any = chunk{Image: "web", Chunk: 7, Daemon: 3, Total: 512}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%100_000 == 0 {
+			l = New() // bound the tail's memory
+		}
+		l.Append(int64(i), "chunk-announce", rec)
+	}
+}
+
+func BenchmarkJournalReplay(b *testing.B) {
+	const n = 1000
+	img := chunkLog(n).Bytes()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(img)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if recs, _ := Replay(img); len(recs) != n {
+			b.Fatalf("replayed %d records", len(recs))
+		}
+	}
 }
